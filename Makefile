@@ -7,7 +7,7 @@ GO ?= go
 COVER_MIN ?= 85.0
 
 .PHONY: all build test vet race fuzz bench bench-segments bench-prefilter \
-	bench-sfa bench-hotloop bench-papd experiments report serve clean \
+	bench-hotloop bench-papd experiments report serve clean \
 	conformance cover chaos vulncheck load-smoke
 
 all: build vet test
@@ -25,14 +25,13 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the fuzz targets (engine agreement,
-# regex-vs-stdlib, end-to-end PAP equivalence, flow-vs-SFA mode
-# equivalence, and scored-path-vs-oracle equivalence).
+# regex-vs-stdlib, end-to-end PAP equivalence, and scored-path-vs-oracle
+# equivalence).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEngineEquivalence -fuzztime 30s ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzBaselineSkip -fuzztime 30s ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzCompileAgainstStdlib -fuzztime 30s ./internal/regex/
 	$(GO) test -run xxx -fuzz FuzzParallelEquivalence -fuzztime 30s ./internal/core/
-	$(GO) test -run xxx -fuzz FuzzSFAEquivalence -fuzztime 30s ./internal/core/
 	$(GO) test -run xxx -fuzz FuzzScoredEquivalence -fuzztime 30s ./internal/conformance/
 
 # Differential conformance sweep against the reference oracle (see
@@ -79,11 +78,6 @@ bench:
 bench-segments:
 	$(GO) test -run xxx -bench BenchmarkExecuteSegments -benchmem -count 3 ./internal/core/
 
-# Flow-enumeration vs SFA function-composition execution modes across
-# workload regimes and segment counts (the numbers behind BENCH_sfa.json).
-bench-sfa:
-	$(GO) test -run xxx -bench BenchmarkModeComparison -benchmem -benchtime 5x -count 3 ./internal/core/
-
 # Prefilter regimes and lazy-DFA density rows (the numbers behind
 # BENCH_prefilter.json and the lazydfa/meta rows of BENCH_engines.json),
 # then the 5x quiet-regime throughput gate.
@@ -99,12 +93,12 @@ bench-hotloop:
 	PAP_BENCH_GUARD=1 $(GO) test -run TestHotLoopGuard -v ./internal/engine/
 
 # Load smoke: papload drives a spawned 2-replica papd cluster (shard
-# router + coalescing on) in mixed match/stream mode with hot reloads
-# mid-run, and fails unless every request succeeded, no streaming session
-# lost state, and the coalescer actually batched (see docs/SERVER.md).
+# router on) in mixed match/stream mode with hot reloads mid-run, and
+# fails unless every request succeeded and no streaming session lost
+# state (see docs/SERVER.md).
 load-smoke:
 	$(GO) run ./cmd/papload -replicas 2 -mode mixed -duration 3s -conns 8 \
-		-reloads 2 -require-zero-errors -require-coalescing
+		-reloads 2 -require-zero-errors
 
 # Replica-scaling load bench: papload sweeps 1..4 spawned replicas and
 # writes latency percentiles + throughput per cluster size (the numbers

@@ -7,16 +7,14 @@
 //
 //	papd [-addr :8461] [-workers N] [-queue N] [-timeout 30s]
 //	     [-max-match-duration 0] [-stream-idle 10m] [-max-body 16777216]
-//	     [-engine auto] [-mode flows] [-preload name=patterns.txt]...
+//	     [-engine auto] [-preload name=patterns.txt]...
 //	     [-peers host1:8461,host2:8461] [-advertise host0:8461]
-//	     [-batch-window 0] [-batch-max 64] [-batch-max-bytes 4096]
 //	     [-tenant-rps 0] [-tenant-burst 0]
 //
 // -peers enables the shard router: each ruleset name is owned by one
 // replica on a consistent-hash ring over advertise+peers, and requests
 // for rulesets owned elsewhere are forwarded there (with local fallback
-// when the owner is down). -batch-window enables request coalescing for
-// small match payloads; -tenant-rps enforces per-tenant (X-API-Key)
+// when the owner is down). -tenant-rps enforces per-tenant (X-API-Key)
 // token-bucket quotas with 429 + Retry-After beyond the budget.
 //
 // Each -preload flag registers a regex ruleset at startup from a file of
@@ -121,17 +119,11 @@ func main() {
 		engine     = flag.String("engine", "auto",
 			"default execution backend for preloaded rulesets: "+
 				strings.Join(pap.EngineKindNames(), ", "))
-		serialSegs = flag.Bool("serial-segments", false, "default parallel-mode matches to the serial cross-segment scheduler")
-		execMode   = flag.String("mode", "flows",
-			"default parallel execution mode (requests may override with mode=sfa): "+
-				strings.Join(pap.ExecModeNames(), ", "))
+		serialSegs  = flag.Bool("serial-segments", false, "default parallel-mode matches to the serial cross-segment scheduler")
 		peerList    = flag.String("peers", "", "comma-separated advertised addresses of the other replicas (enables the shard router)")
 		advertise   = flag.String("advertise", "", "this replica's address as peers reach it (default -addr)")
 		peerFails   = flag.Int("peer-fail-threshold", 3, "consecutive forward failures before a peer is ejected from routing")
 		peerCool    = flag.Duration("peer-cooldown", 10*time.Second, "how long an ejected peer stays out of routing")
-		batchWindow = flag.Duration("batch-window", 0, "coalesce small match requests arriving within this window into shared worker tasks (0 disables)")
-		batchMax    = flag.Int("batch-max", 64, "flush a coalesced batch early at this many requests")
-		batchBytes  = flag.Int("batch-max-bytes", 4096, "largest payload eligible for coalescing")
 		tenantRPS   = flag.Float64("tenant-rps", 0, "per-tenant (X-API-Key) requests/second on the worker pool, 429 beyond (0 disables)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant burst allowance (0 = max(tenant-rps, 1))")
 		preloads    preloadFlag
@@ -139,10 +131,6 @@ func main() {
 	flag.Var(&preloads, "preload", "register a ruleset at startup: name=patterns.txt (repeatable)")
 	flag.Parse()
 
-	mode, err := pap.ParseExecMode(*execMode)
-	if err != nil {
-		log.Fatalf("papd: %v", err)
-	}
 	s := server.New(server.Config{
 		Addr:              *addr,
 		Workers:           *workers,
@@ -152,14 +140,10 @@ func main() {
 		StreamIdleTimeout: *streamIdle,
 		MaxBodyBytes:      *maxBody,
 		SerialSegments:    *serialSegs,
-		DefaultExecMode:   mode,
 		Peers:             splitPeers(*peerList),
 		AdvertiseAddr:     *advertise,
 		PeerFailThreshold: *peerFails,
 		PeerCooldown:      *peerCool,
-		BatchWindow:       *batchWindow,
-		BatchMaxSize:      *batchMax,
-		BatchMaxBytes:     *batchBytes,
 		TenantRPS:         *tenantRPS,
 		TenantBurst:       *tenantBurst,
 	})

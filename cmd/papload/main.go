@@ -12,13 +12,12 @@
 //	papload [-targets host1:8461,host2:8461 | -replicas 2] [-ruleset load]
 //	        [-mode match|stream|mixed] [-duration 5s] [-conns 8] [-rate 0]
 //	        [-payload 256] [-seed 1] [-reloads 0] [-out report.json]
-//	        [-require-zero-errors] [-require-coalescing]
-//	        [-bench] [-bench-max-replicas 4]
+//	        [-require-zero-errors] [-bench] [-bench-max-replicas 4]
 //
 // The closed-loop default keeps every connection saturated; -rate > 0
 // paces the fleet to a total requests/second. Exit status is nonzero
-// when a -require-* gate fails, so CI can assert "zero errors, and the
-// coalescer actually batched" in one command.
+// when -require-zero-errors sees an error or a session reset, so CI can
+// assert a zero-error hot reload in one command.
 package main
 
 import (
@@ -34,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,18 +45,17 @@ import (
 )
 
 type options struct {
-	targets     []string // base addresses (host:port), external or spawned
-	replicas    int
-	ruleset     string
-	mode        string
-	duration    time.Duration
-	conns       int
-	rate        float64 // total requests/second across all conns; 0 = closed loop
-	payload     int
-	seed        int64
-	reloads     int
-	batchWindow time.Duration // spawned replicas only
-	tenantRPS   float64       // spawned replicas only
+	targets   []string // base addresses (host:port), external or spawned
+	replicas  int
+	ruleset   string
+	mode      string
+	duration  time.Duration
+	conns     int
+	rate      float64 // total requests/second across all conns; 0 = closed loop
+	payload   int
+	seed      int64
+	reloads   int
+	tenantRPS float64 // spawned replicas only
 }
 
 type report struct {
@@ -74,30 +73,26 @@ type report struct {
 	P99Ms         float64 `json:"p99_ms"`
 
 	// Scraped from the replicas' /metrics after the run.
-	CoalescedBatches int64 `json:"coalesced_batches"`
-	BatchedRequests  int64 `json:"batched_requests"`
-	RouterForwarded  int64 `json:"router_forwarded"`
+	RouterForwarded int64 `json:"router_forwarded"`
 }
 
 func main() {
 	var (
-		targets    = flag.String("targets", "", "comma-separated papd addresses to load (host:port); empty spawns -replicas in-process")
-		replicas   = flag.Int("replicas", 1, "in-process replicas to spawn when -targets is empty")
-		ruleset    = flag.String("ruleset", "load", "ruleset name to register and drive")
-		mode       = flag.String("mode", "match", "traffic shape: match, stream or mixed")
-		duration   = flag.Duration("duration", 5*time.Second, "load duration")
-		conns      = flag.Int("conns", 8, "concurrent connections")
-		rate       = flag.Float64("rate", 0, "total requests/second across all conns (0 = closed loop)")
-		payload    = flag.Int("payload", 256, "payload bytes per request")
-		seed       = flag.Int64("seed", 1, "rng seed for payloads and pacing jitter")
-		reloads    = flag.Int("reloads", 0, "hot-reload the ruleset this many times during the run")
-		out        = flag.String("out", "", "write the JSON report here as well as stdout")
-		reqZero    = flag.Bool("require-zero-errors", false, "exit 1 on any error or session reset")
-		reqCoal    = flag.Bool("require-coalescing", false, "exit 1 unless at least one multi-request batch was coalesced")
-		bench      = flag.Bool("bench", false, "sweep 1..bench-max-replicas spawned clusters and write a scaling table")
-		benchMax   = flag.Int("bench-max-replicas", 4, "largest cluster in the -bench sweep")
-		batchWin   = flag.Duration("batch-window", 2*time.Millisecond, "BatchWindow for spawned replicas (0 disables coalescing)")
-		tenantRPS  = flag.Float64("tenant-rps", 0, "TenantRPS for spawned replicas (0 disables quotas)")
+		targets   = flag.String("targets", "", "comma-separated papd addresses to load (host:port); empty spawns -replicas in-process")
+		replicas  = flag.Int("replicas", 1, "in-process replicas to spawn when -targets is empty")
+		ruleset   = flag.String("ruleset", "load", "ruleset name to register and drive")
+		mode      = flag.String("mode", "match", "traffic shape: match, stream or mixed")
+		duration  = flag.Duration("duration", 5*time.Second, "load duration")
+		conns     = flag.Int("conns", 8, "concurrent connections")
+		rate      = flag.Float64("rate", 0, "total requests/second across all conns (0 = closed loop)")
+		payload   = flag.Int("payload", 256, "payload bytes per request")
+		seed      = flag.Int64("seed", 1, "rng seed for payloads and pacing jitter")
+		reloads   = flag.Int("reloads", 0, "hot-reload the ruleset this many times during the run")
+		out       = flag.String("out", "", "write the JSON report here as well as stdout")
+		reqZero   = flag.Bool("require-zero-errors", false, "exit 1 on any error or session reset")
+		bench     = flag.Bool("bench", false, "sweep 1..bench-max-replicas spawned clusters and write a scaling table")
+		benchMax  = flag.Int("bench-max-replicas", 4, "largest cluster in the -bench sweep")
+		tenantRPS = flag.Float64("tenant-rps", 0, "TenantRPS for spawned replicas (0 disables quotas)")
 	)
 	flag.Parse()
 
@@ -105,7 +100,7 @@ func main() {
 		replicas: *replicas, ruleset: *ruleset, mode: *mode,
 		duration: *duration, conns: *conns, rate: *rate,
 		payload: *payload, seed: *seed, reloads: *reloads,
-		batchWindow: *batchWin, tenantRPS: *tenantRPS,
+		tenantRPS: *tenantRPS,
 	}
 	for _, t := range strings.Split(*targets, ",") {
 		if t = strings.TrimSpace(t); t != "" {
@@ -129,10 +124,6 @@ func main() {
 		log.Fatalf("papload: --require-zero-errors: %d errors, %d session resets",
 			rep.Errors, rep.SessionResets)
 	}
-	if *reqCoal && (rep.CoalescedBatches == 0 || rep.BatchedRequests <= rep.CoalescedBatches) {
-		log.Fatalf("papload: --require-coalescing: %d batches for %d batched requests",
-			rep.CoalescedBatches, rep.BatchedRequests)
-	}
 }
 
 func emit(v any, out string) {
@@ -153,17 +144,19 @@ func runBench(opts options, max int, out string) error {
 		return fmt.Errorf("-bench spawns its own clusters; drop -targets")
 	}
 	var table struct {
-		Benchmark string   `json:"benchmark"`
-		Note      string   `json:"note"`
-		Mode      string   `json:"mode"`
-		Conns     int      `json:"conns"`
-		Payload   int      `json:"payload_bytes"`
-		Runs      []report `json:"runs"`
+		Benchmark   string      `json:"benchmark"`
+		Note        string      `json:"note"`
+		Environment environment `json:"environment"`
+		Mode        string      `json:"mode"`
+		Conns       int         `json:"conns"`
+		Payload     int         `json:"payload_bytes"`
+		Runs        []report    `json:"runs"`
 	}
 	table.Benchmark = "papd replica scaling"
 	table.Note = "spawned replicas share one host's cores, so these runs price the " +
-		"shard-routing hop and coalescing window rather than demonstrating " +
-		"horizontal scaling; run with -targets against real hosts for that"
+		"shard-routing hop rather than demonstrating horizontal scaling; " +
+		"run with -targets against real hosts for that"
+	table.Environment = hostEnvironment()
 	table.Mode = opts.mode
 	table.Conns = opts.conns
 	table.Payload = opts.payload
@@ -209,8 +202,8 @@ func runOnce(opts options) (report, error) {
 
 	var (
 		requests, errors, resets, reloadsDone atomic.Int64
-		mu   sync.Mutex
-		lats []float64 // milliseconds
+		mu                                    sync.Mutex
+		lats                                  []float64 // milliseconds
 	)
 	record := func(d time.Duration) {
 		mu.Lock()
@@ -309,8 +302,45 @@ func runOnce(opts options) (report, error) {
 	}
 	sort.Float64s(lats)
 	rep.P50Ms, rep.P95Ms, rep.P99Ms = pct(lats, 50), pct(lats, 95), pct(lats, 99)
-	rep.CoalescedBatches, rep.BatchedRequests, rep.RouterForwarded = scrapeMetrics(client, targets)
+	rep.RouterForwarded = scrapeForwarded(client, targets)
 	return rep, nil
+}
+
+// environment is the host record every BENCH file carries, so its
+// numbers are read against the hardware that produced them.
+type environment struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func hostEnvironment() environment {
+	return environment{
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		CPU:        cpuModel(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+	}
+}
+
+// cpuModel reads the CPU model name from /proc/cpuinfo ("unknown" where
+// that file is absent or has no model line).
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // spawnCluster boots n in-process papd replicas wired as each other's
@@ -342,7 +372,6 @@ func spawnCluster(opts options) ([]string, func(), error) {
 			Addr:          addrs[i],
 			AdvertiseAddr: addrs[i],
 			Peers:         peers,
-			BatchWindow:   opts.batchWindow,
 			TenantRPS:     opts.tenantRPS,
 		})
 		servers[i] = s
@@ -522,9 +551,9 @@ func pct(sorted []float64, q float64) float64 {
 	return sorted[i]
 }
 
-// scrapeMetrics sums the coalescing and routing counters across every
+// scrapeForwarded sums the router's forward counters across every
 // target's /metrics.
-func scrapeMetrics(client *http.Client, targets []string) (batches, batched, forwarded int64) {
+func scrapeForwarded(client *http.Client, targets []string) (forwarded int64) {
 	for _, t := range targets {
 		resp, err := client.Get("http://" + t + "/metrics")
 		if err != nil {
@@ -533,19 +562,13 @@ func scrapeMetrics(client *http.Client, targets []string) (batches, batched, for
 		sc := bufio.NewScanner(resp.Body)
 		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 		for sc.Scan() {
-			line := sc.Text()
-			switch {
-			case strings.HasPrefix(line, "papd_batches_total "):
-				batches += parseMetricValue(line)
-			case strings.HasPrefix(line, "papd_batched_requests_total "):
-				batched += parseMetricValue(line)
-			case strings.HasPrefix(line, "papd_router_forwarded_total"):
+			if line := sc.Text(); strings.HasPrefix(line, "papd_router_forwarded_total") {
 				forwarded += parseMetricValue(line)
 			}
 		}
 		resp.Body.Close()
 	}
-	return batches, batched, forwarded
+	return forwarded
 }
 
 func parseMetricValue(line string) int64 {

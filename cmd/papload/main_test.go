@@ -37,9 +37,9 @@ func TestParseMetricValue(t *testing.T) {
 		line string
 		want int64
 	}{
-		{"papd_batches_total 42", 42},
+		{"papd_worker_pool_rejected_total 42", 42},
 		{`papd_router_forwarded_total{peer="a:1"} 7`, 7},
-		{"papd_batch_size_sum 12.5", 12},
+		{"papd_parallel_speedup_sum 12.5", 12},
 		{"garbage", 0},
 	}
 	for _, c := range cases {
@@ -50,13 +50,12 @@ func TestParseMetricValue(t *testing.T) {
 }
 
 // TestRunOnceSmoke drives a real single-replica load for a fraction of a
-// second: traffic flows, nothing errors, and the coalescer batches.
+// second: traffic flows and nothing errors across a hot reload.
 func TestRunOnceSmoke(t *testing.T) {
 	rep, err := runOnce(options{
 		replicas: 1, ruleset: "smoke", mode: "mixed",
 		duration: 400 * time.Millisecond, conns: 4,
 		payload: 128, seed: 1, reloads: 1,
-		batchWindow: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +69,6 @@ func TestRunOnceSmoke(t *testing.T) {
 	if rep.Reloads != 1 {
 		t.Errorf("reloads = %d, want 1", rep.Reloads)
 	}
-	if rep.CoalescedBatches == 0 {
-		t.Error("no batches coalesced under concurrent small-payload load")
-	}
 }
 
 // TestRunBenchSmoke sweeps a 1-replica "cluster" and checks the scaling
@@ -82,7 +78,7 @@ func TestRunBenchSmoke(t *testing.T) {
 	err := runBench(options{
 		replicas: 1, ruleset: "bench", mode: "match",
 		duration: 300 * time.Millisecond, conns: 2,
-		payload: 64, seed: 1, batchWindow: time.Millisecond,
+		payload: 64, seed: 1,
 	}, 1, out)
 	if err != nil {
 		t.Fatal(err)
@@ -92,10 +88,14 @@ func TestRunBenchSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var table struct {
-		Runs []report `json:"runs"`
+		Environment environment `json:"environment"`
+		Runs        []report    `json:"runs"`
 	}
 	if err := json.Unmarshal(data, &table); err != nil {
 		t.Fatalf("bench table not JSON: %v\n%s", err, data)
+	}
+	if env := table.Environment; env.CPU == "" || env.NProc < 1 || env.GOMAXPROCS < 1 {
+		t.Fatalf("bench environment = %+v, want CPU, nproc and GOMAXPROCS", env)
 	}
 	if len(table.Runs) != 1 || table.Runs[0].Replicas != 1 {
 		t.Fatalf("bench runs = %+v, want one 1-replica run", table.Runs)

@@ -11,8 +11,7 @@ import (
 // rest, so the scored paths are always exercised) and the fuzzed input runs
 // through every scored execution path — all engine backends, chunked
 // streaming, scored boundary resume, and the PAP parallelization under both
-// schedulers and both modes — which must agree with the scored oracle
-// score for score.
+// schedulers — which must agree with the scored oracle score for score.
 func FuzzScoredEquivalence(f *testing.F) {
 	f.Add(int64(1), []byte("abcdabcdabcdabcd"), true)
 	f.Add(int64(42), []byte("aaaaaaaazzzzbbbbccc"), false)

@@ -73,9 +73,6 @@ func CheckCase(c *Case) (invariant, detail string) {
 	if inv, d := checkSchedulerParity(c, oracle, sub); inv != "" {
 		return inv, d
 	}
-	if inv, d := checkSFAMode(c, oracle, sub); inv != "" {
-		return inv, d
-	}
 	if inv, d := checkCancellation(c, oracle, sub); inv != "" {
 		return inv, d
 	}
@@ -442,55 +439,6 @@ func checkSchedulerParity(c *Case, oracle []engine.Report, rng *rand.Rand) (stri
 	return "", ""
 }
 
-// checkSFAMode asserts the SFA function-composition execution mode is a
-// third must-agree path: oracle ≡ flow mode ≡ SFA mode, on every engine
-// backend and under both schedulers, with the serial and parallel SFA
-// runs additionally bit-identical in every modelled metric (the same
-// parity contract flow mode honours).
-func checkSFAMode(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
-	if len(c.Input) < 8 {
-		return "", "" // too short to partition meaningfully
-	}
-	base := parallelConfig(rng, false)
-	base.Speculate = false // SFA mode rejects speculation by contract
-	flowRef, err := core.Run(c.NFA, c.Input, base)
-	if err != nil {
-		return "sfa-mode", fmt.Sprintf("flow-mode reference core.Run: %v (cfg %+v)", err, base)
-	}
-	for _, kind := range engineKinds {
-		cfg := base
-		cfg.Engine = kind
-		cfg.Mode = core.ModeSFA
-		name := "sfa-mode/" + kind.String()
-
-		ser := cfg
-		ser.SegmentParallel = false
-		par := cfg
-		par.SegmentParallel = true
-		rs, err := core.Run(c.NFA, c.Input, ser)
-		if err != nil {
-			return name, fmt.Sprintf("serial core.Run: %v (cfg %+v)", err, ser)
-		}
-		rp, err := core.Run(c.NFA, c.Input, par)
-		if err != nil {
-			return name, fmt.Sprintf("parallel core.Run: %v (cfg %+v)", err, par)
-		}
-		if err := rs.CheckCorrect(); err != nil {
-			return name, fmt.Sprintf("%v (cfg %+v)", err, ser)
-		}
-		if d := diffReports(oracle, rs.Reports); d != "" {
-			return name, "sfa vs oracle: " + d + fmt.Sprintf(" (cfg %+v)", ser)
-		}
-		if d := diffReports(flowRef.Reports, rs.Reports); d != "" {
-			return name, "sfa vs flow mode: " + d + fmt.Sprintf(" (cfg %+v)", ser)
-		}
-		if d := diffResultMetrics(rs, rp); d != "" {
-			return name, "scheduler parity: " + d + fmt.Sprintf(" (cfg %+v)", cfg)
-		}
-	}
-	return "", ""
-}
-
 // checkCancellation asserts the cancellation contract on both schedulers:
 // a run cancelled at a pseudo-random modelled round boundary returns the
 // context error (wrapped in *core.Aborted with sane per-segment progress)
@@ -575,8 +523,7 @@ func checkCancellation(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 // baseline-skip ablation, chunked streaming exactly as Stream.Write chunks,
 // boundary-recording runs whose recorded frontier scores must equal the
 // oracle's at every cut, boundary-re-seeded segment resume, and the full
-// PAP parallelization under both schedulers, both execution modes and
-// speculation. Roughly a third of generated specs carry edge weights
+// PAP parallelization under both schedulers and speculation. Roughly a third of generated specs carry edge weights
 // (negative, zero and tied); on the unscored rest the scored paths must
 // still run and produce all-zero scores — the all-zero ≡ unscored
 // degenerate case, checked here on every single case.
@@ -684,8 +631,7 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 		}
 	}
 
-	// Full PAP parallelization: both schedulers × both execution modes, plus
-	// a speculative flow-mode run. CheckCorrect covers score exactness too
+	// Full PAP parallelization: both schedulers, plus a speculative run. CheckCorrect covers score exactness too
 	// (SameReports compares scores), so Correct doubles as the internal
 	// golden-vs-composed scored agreement.
 	if len(c.Input) < 8 {
@@ -698,20 +644,16 @@ func checkScored(c *Case, rng *rand.Rand) (string, string) {
 		cfg  core.Config
 	}
 	var cases []coreCase
-	for _, mode := range []core.Mode{core.ModeFlows, core.ModeSFA} {
-		for _, par := range []bool{false, true} {
-			cfg := base
-			cfg.Mode = mode
-			cfg.SegmentParallel = par
-			name := fmt.Sprintf("scored-parallel/%v-serial", mode)
-			if par {
-				name = fmt.Sprintf("scored-parallel/%v-parallel", mode)
-			}
-			cases = append(cases, coreCase{name, cfg})
+	for _, par := range []bool{false, true} {
+		cfg := base
+		cfg.SegmentParallel = par
+		name := "scored-parallel/serial"
+		if par {
+			name = "scored-parallel/parallel"
 		}
+		cases = append(cases, coreCase{name, cfg})
 	}
 	spec := base
-	spec.Mode = core.ModeFlows
 	spec.Speculate = true
 	cases = append(cases, coreCase{"scored-parallel/speculative", spec})
 	for _, tc := range cases {
@@ -760,9 +702,6 @@ func diffResultMetrics(a, b *core.Result) string {
 		{"PrefilterSkipped", a.PrefilterSkipped, b.PrefilterSkipped},
 		{"BaselineSkipped", a.BaselineSkipped, b.BaselineSkipped},
 		{"CapacityNote", a.CapacityNote, b.CapacityNote},
-		{"Mode", a.Mode, b.Mode},
-		{"SFAMappings", a.SFAMappings, b.SFAMappings},
-		{"SFAComposeOps", a.SFAComposeOps, b.SFAComposeOps},
 		{"FingerprintCollisions", a.FingerprintCollisions, b.FingerprintCollisions},
 	}
 	for _, s := range scalars {

@@ -53,7 +53,7 @@ func TestConvergenceAllocs(t *testing.T) {
 
 // TestConvergenceFingerprintFastPath verifies the rewritten convergence
 // check decision-for-decision: identical vectors merge (lowest-id flow
-// survives, absorbed flows record their survivor), hash collisions are
+// survives and inherits the absorbed flows' attribution), hash collisions are
 // detected by the full compare, counted, and kept separate, and the
 // comparator-access accounting matches the paper's model (one access per
 // alive vector visited plus one per merge candidate).
@@ -86,14 +86,14 @@ func TestConvergenceFingerprintFastPath(t *testing.T) {
 		t.Fatalf("ConvCompares = %d, want 7", seg.ConvCompares)
 	}
 	f1, f2, f3, f4, f5 := seg.flows[1], seg.flows[2], seg.flows[3], seg.flows[4], seg.flows[5]
-	if !f1.alive || f2.alive || !f2.merged || f2.mergedInto != f1 {
-		t.Fatalf("merge bookkeeping wrong: f1.alive=%v f2.alive=%v f2.mergedInto=%p",
-			f1.alive, f2.alive, f2.mergedInto)
+	if !f1.alive || f1.merged || f2.alive || !f2.merged {
+		t.Fatalf("merge bookkeeping wrong: f1.alive=%v f1.merged=%v f2.alive=%v f2.merged=%v",
+			f1.alive, f1.merged, f2.alive, f2.merged)
 	}
 	if seg.svc.Valid(f2.svcID) {
 		t.Fatal("merged flow's SVC entry not freed")
 	}
-	if !f3.alive || !f4.alive || f3.mergedInto != nil || f4.mergedInto != nil {
+	if !f3.alive || !f4.alive || f3.merged || f4.merged {
 		t.Fatal("collision pair was merged")
 	}
 	if !f5.alive {

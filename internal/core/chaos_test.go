@@ -73,7 +73,7 @@ func TestChaosStages(t *testing.T) {
 
 	// FIV transfers only happen when enumeration flows are still alive at
 	// the modelled arrival time, so that stage gets the workload from
-	// TestFIVKillsFalseFlows: open-ended patterns, FIV as the only flow
+	// TestFalseFlowsKilledByFIV: open-ended patterns, FIV as the only flow
 	// killer, a forced cut symbol with a non-empty range.
 	fivNFA := mustCompile(t, "Xab.*y", "Xcd.*y")
 	fivInput := make([]byte, 1<<15)
@@ -86,7 +86,6 @@ func TestChaosStages(t *testing.T) {
 		faultinject.RoundStep,
 		faultinject.FIVTransfer,
 		faultinject.TruthPublish,
-		faultinject.SFACompose,
 	}
 	actions := []faultinject.Action{faultinject.Fail, faultinject.Panic, faultinject.Delay}
 
@@ -117,11 +116,6 @@ func TestChaosStages(t *testing.T) {
 						cfg.DisableConvergence = true
 						cfg.DisableDeactivation = true
 						cfg.CutSymbol = 'X'
-					}
-					if stage == faultinject.SFACompose {
-						// The boundary-composition pass only exists in
-						// SFA mode.
-						cfg.Mode = ModeSFA
 					}
 
 					ctx := context.Background()
@@ -194,12 +188,6 @@ func TestChaosSeeded(t *testing.T) {
 		set := faultinject.NewSeeded(seed, 3)
 		cfg := chaosConfig(seed%2 == 0)
 		cfg.TDMQuantum = 16
-		if seed%3 == 0 {
-			// A third of the scenarios run SFA mode, so seeded faults
-			// (including the sfa-compose stage NewSeeded can draw) land on
-			// the composition path too.
-			cfg.Mode = ModeSFA
-		}
 		cfg.Fault = set.Hook
 
 		// The deadline bounds scenarios dominated by persistent delays;

@@ -94,15 +94,6 @@ type Config struct {
 	// results (the backends are observably equivalent).
 	Engine engine.Kind
 
-	// Mode selects the parallel execution strategy: ModeFlows (zero value)
-	// is the paper's flow enumeration with FIV/convergence kills; ModeSFA
-	// runs one flow per frontier-equivalence class and composes the
-	// per-segment entry→exit state mappings at segment boundaries instead
-	// of sending Flow Invalidation Vectors (see mode.go). Both modes
-	// produce exactly the sequential report set (checked); modelled cycle
-	// metrics differ because the strategies do different work.
-	Mode Mode
-
 	// Speculate replaces enumeration with speculative execution (the
 	// paper's §6 future-work direction): each segment predicts that its
 	// boundary carries no enumeration activity and runs only the ASG flow;
@@ -148,8 +139,7 @@ type Config struct {
 
 	// Fault, when non-nil, is fired at every instrumented pipeline point
 	// (plan build, each TDM round boundary, FIV transfers, truth
-	// publication, SFA boundary composition) and may delay the stage,
-	// fail it with an error, or
+	// publication) and may delay the stage, fail it with an error, or
 	// panic — the deterministic chaos layer (internal/faultinject). A
 	// returned error aborts the run with *Aborted; a panic is recovered
 	// at the segment-goroutine boundary and converted likewise. nil (the
@@ -198,12 +188,6 @@ func (c *Config) validate() error {
 	}
 	if c.Engine > engine.MaxKind {
 		return fmt.Errorf("core: unknown engine kind %d", c.Engine)
-	}
-	if c.Mode > maxMode {
-		return fmt.Errorf("core: unknown execution mode %d", c.Mode)
-	}
-	if c.Mode == ModeSFA && c.Speculate {
-		return fmt.Errorf("core: Mode=sfa is incompatible with Speculate (speculation predicts boundaries instead of composing mappings)")
 	}
 	if c.Scored {
 		// Score-blind flow merges are inexact (see the Scored field docs);

@@ -41,15 +41,6 @@ type flowRun struct {
 	// round.
 	baseSkipped int64
 
-	// classUnit is the index of one unit of this flow's frontier-
-	// equivalence class (SFA mode only; every unit of the class shares one
-	// truth value, so one index suffices for the exit-composition lookup).
-	classUnit int
-	// mergedInto records the convergence survivor that absorbed this flow:
-	// equal state vectors evolve identically, so the survivor's exit
-	// context stands in for this flow's (SFA composition follows the
-	// chain). nil for live, deactivated, and FIV-killed flows.
-	mergedInto *flowRun
 	// ctxBuf is the flow's reusable frontier scratch: the per-round SVC
 	// save and the round-0 probe compares fill it in place instead of
 	// allocating a fresh sorted slice per round (the SVC copies on Save).
@@ -58,7 +49,7 @@ type flowRun struct {
 	// TDM rounds, parallel to the sorted context the flow last saved to the
 	// SVC: the engine pool hands flows different engines round to round, so
 	// scores travel with the flow, exactly like the context itself. Seeded
-	// by seedSegment with the golden boundary scores; nil for the ASG flow
+	// by seedFlows with the golden boundary scores; nil for the ASG flow
 	// (baseline paths start at score 0 by definition).
 	scoreBuf []int64
 }
@@ -92,8 +83,6 @@ type segmentResult struct {
 	BaselineSkip int64 // input bytes covered by the exact baseline-skip
 	// scan (ASG-only frontier, start-class scanner); same charging rule
 
-	SFAMappings  int   // SFA mode: frontier-equivalence classes run
-	ComposeOps   int64 // SFA mode: boundary-composition set operations
 	FPCollisions int64 // verified fingerprint collisions (hash hit, sets differ)
 
 	flows    []*flowRun
@@ -238,7 +227,7 @@ func (p *Plan) runSegmentRounds(ctx context.Context, seg *segmentResult, input [
 
 	pos := seg.Start
 	round := 0
-	fivApplied := !p.fivEnabled()
+	fivApplied := cfg.DisableFIV
 	for pos < seg.End {
 		seg.pos = pos
 		if err := cfg.fire(faultinject.RoundStep, seg.Index, round); err != nil {
@@ -612,7 +601,6 @@ func (p *Plan) convergeFlows(seg *segmentResult, off int64) {
 				}
 				f.alive = false
 				f.merged = true
-				f.mergedInto = survivor
 				seg.svc.Invalidate(f.svcID)
 				seg.Convergences++
 				for _, a := range f.attrib {

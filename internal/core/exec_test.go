@@ -107,10 +107,10 @@ func TestConvergenceAttribution(t *testing.T) {
 	}
 }
 
-// TestFIVKillsFalseFlows: with convergence and deactivation disabled, FIV
+// TestFalseFlowsKilledByFIV: with convergence and deactivation disabled, FIV
 // is the only flow killer; segments beyond the first must see kills once
 // the truth chain catches up.
-func TestFIVKillsFalseFlows(t *testing.T) {
+func TestFalseFlowsKilledByFIV(t *testing.T) {
 	n := mustCompile(t, "Xab.*y", "Xcd.*y")
 	rng := rand.New(rand.NewSource(9))
 	input := make([]byte, 1<<15)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"pap/internal/engine"
 	"pap/internal/regex"
 )
 
@@ -37,57 +36,6 @@ func FuzzParallelEquivalence(f *testing.F) {
 		}
 		if err := res.CheckCorrect(); err != nil {
 			t.Fatalf("input %q cfg %+v: %v", input, cfg, err)
-		}
-	})
-}
-
-// FuzzSFAEquivalence drives both execution modes over the same arbitrary
-// input and knobs and requires three-way agreement: flow mode exact, SFA
-// mode exact, and the two report sets identical.
-func FuzzSFAEquivalence(f *testing.F) {
-	f.Add([]byte("abcXdefXabcXdefXabcXdefXabcXdef"), uint8(4), uint8(16), false)
-	f.Add([]byte("xxxxxyzxxxxxyzxxxxxyzxxxxxyz"), uint8(8), uint8(8), true)
-	f.Add([]byte("abcabcabcabcabcabcabcabcabcabc"), uint8(2), uint8(32), false)
-	f.Add([]byte("de fde fde fde fde fde fde f"), uint8(15), uint8(1), true)
-	f.Fuzz(func(t *testing.T, input []byte, segs, quantum uint8, ablate bool) {
-		if len(input) < 8 || len(input) > 4096 {
-			return
-		}
-		n, err := regex.CompilePatterns("fuzz", []string{"abc", "de.?f", "x{3,5}y?z"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(1)
-		cfg.Workers = 2
-		cfg.MaxSegments = 1 + int(segs%16)
-		cfg.TDMQuantum = 1 + int(quantum%64)
-		cfg.ConvergenceEvery = 1 + int(segs%5)
-		cfg.SegmentParallel = quantum%2 == 0
-		if ablate {
-			cfg.DisableConvergence = true
-			cfg.AbsorbDeactivation = false
-		}
-		flows := cfg
-		flows.Mode = ModeFlows
-		sfa := cfg
-		sfa.Mode = ModeSFA
-		rf, err := Run(n, input, flows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := Run(n, input, sfa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rf.CheckCorrect(); err != nil {
-			t.Fatalf("flow mode: input %q cfg %+v: %v", input, flows, err)
-		}
-		if err := rs.CheckCorrect(); err != nil {
-			t.Fatalf("sfa mode: input %q cfg %+v: %v", input, sfa, err)
-		}
-		if !engine.SameReports(rf.Reports, rs.Reports) {
-			t.Fatalf("modes disagree on %q: %d vs %d reports (cfg %+v)",
-				input, len(rf.Reports), len(rs.Reports), cfg)
 		}
 	})
 }

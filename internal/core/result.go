@@ -37,15 +37,9 @@ type SegmentStats struct {
 	// the exact baseline-skip scan (start-class scanner over a dead
 	// enumeration frontier); the same charging rule applies.
 	BaselineSkipped int64
-	// SFAMappings is the number of frontier-equivalence classes (entry→exit
-	// mappings) this segment ran; 0 in flow mode and for segment 0.
-	SFAMappings int
-	// ComposeOps counts boundary-composition set operations (exit unions
-	// and unit subset probes) charged to this segment's SFA finalize pass.
-	ComposeOps int64
 	// FPCollisions counts verified fingerprint collisions — hash compares
-	// that matched but whose full vector compare disagreed — across
-	// convergence, deactivation, class grouping, and SFA boundary checks.
+	// that matched but whose full vector compare disagreed — across the
+	// convergence and deactivation checks.
 	FPCollisions int64
 	Mispredicted bool      // speculation only
 	RerunCycles  ap.Cycles // speculation only
@@ -107,17 +101,9 @@ type Result struct {
 	// engine kinds; it too charges every covered symbol its modelled round.
 	BaselineSkipped int64
 
-	// Mode is the execution strategy that produced this result.
-	Mode Mode
-	// SFAMappings is the total number of entry→exit mappings (frontier-
-	// equivalence classes) run across segments; 0 in flow mode.
-	SFAMappings int64
-	// SFAComposeOps is the total boundary-composition work of the SFA
-	// finalize pass; 0 in flow mode.
-	SFAComposeOps int64
 	// FingerprintCollisions counts verified fingerprint collisions across
-	// all hash fast paths (convergence, deactivation, class grouping, SFA
-	// boundary cross-checks) — hash hits whose full compare disagreed.
+	// the hash fast paths (convergence, deactivation) — hash hits whose
+	// full compare disagreed.
 	FingerprintCollisions int64
 
 	// CapacityNote is non-empty when the flow plan exceeds the SVC limit
@@ -170,7 +156,7 @@ func (p *Plan) Execute(input []byte) (*Result, error) {
 // ExecuteContext is Execute under a context; see RunContext for the
 // cancellation contract.
 func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error) {
-	res := &Result{Plan: p, Mode: p.Cfg.Mode, IdealSpeedup: float64(p.Segments)}
+	res := &Result{Plan: p, IdealSpeedup: float64(p.Segments)}
 	golden, bounds, goldenPos, err := engine.RunWithBoundariesEngineContext(ctx, p.NFA, input, p.Cuts, p.Cfg.Engine, p.tables, 0,
 		engine.RunOpts{DisableBaselineSkip: p.Cfg.DisableBaselineSkip, Scored: p.Cfg.Scored})
 	if err != nil {
@@ -222,14 +208,6 @@ func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error
 	if err := abortError(segs, ctx.Err()); err != nil {
 		return nil, err
 	}
-	// Mode post-pass: SFA composes the per-segment entry→exit mappings
-	// left-to-right here, establishing every segment's unit truth before
-	// report composition (a no-op in flow mode, where truth was decoded
-	// from the golden boundaries before execution).
-	p.execMode().finalize(p, segs, bounds)
-	if err := abortError(segs, ctx.Err()); err != nil {
-		return nil, err
-	}
 	res.RawTotalCycles = segs[len(segs)-1].KnownAt
 	res.TotalCycles = res.RawTotalCycles
 	if res.TotalCycles > res.BaselineCycles {
@@ -248,12 +226,8 @@ func (p *Plan) ExecuteContext(ctx context.Context, input []byte) (*Result, error
 
 // buildSegments constructs the runtime flows of every segment: segment 0
 // gets the golden flow (true start states known); segments j>0 get the ASG
-// flow plus the execution mode's enumeration flows — one per FlowSpec of
-// the boundary symbol's plan in flow mode (with unit truth decoded from
-// the golden boundary), one per frontier-equivalence class in SFA mode
-// (truth left to boundary composition).
+// flow plus the enumeration flows of seedFlows.
 func (p *Plan) buildSegments(input []byte, bounds []engine.Boundary) []*segmentResult {
-	mode := p.execMode()
 	segs := make([]*segmentResult, p.Segments)
 	for j := 0; j < p.Segments; j++ {
 		start, end := 0, len(input)
@@ -298,11 +272,61 @@ func (p *Plan) buildSegments(input []byte, bounds []engine.Boundary) []*segmentR
 			segs[j] = seg
 			continue
 		}
-		mode.seedSegment(p, seg, bounds)
+		p.seedFlows(seg, bounds[j-1])
 		seg.InitFlows = len(seg.flows)
 		segs[j] = seg
 	}
 	return segs
+}
+
+// seedFlows adds the enumeration flows of one segment with Index > 0 (the
+// paper's §3.3): one flow per packed FlowSpec of the boundary symbol's
+// plan, with unit truth decoded from the golden boundary before execution
+// so the FIV can kill false flows in-loop.
+func (p *Plan) seedFlows(seg *segmentResult, bound engine.Boundary) {
+	sp := p.SymbolPlanFor(seg.Sym)
+	seg.unitTrue = unitTruth(sp, bound)
+	for fi, spec := range sp.Flows {
+		f := &flowRun{
+			id:    fi + 1,
+			alive: true,
+		}
+		seed := dropAllInput(sortedIDs(spec.Seed), p.NFA)
+		f.svcID = seg.svc.AllocOverflow(seed, fingerprintOf(seed, p.NFA))
+		if p.Cfg.Scored {
+			f.scoreBuf = entryScores(bound, seed)
+		}
+		for _, ui := range spec.Units {
+			f.attrib = append(f.attrib, attribEntry{
+				CC:   sp.Units[ui].CC,
+				Unit: ui,
+				From: int64(seg.Start),
+			})
+		}
+		seg.flows = append(seg.flows, f)
+	}
+}
+
+// entryScores returns the entry-score vector for a flow seed (sorted, no
+// all-input states), drawn from the golden boundary: seed states the golden
+// run had enabled at the cut inherit their exact best-path scores, so every
+// boundary-crossing path resumes with the true sequential score. Seed states
+// the golden run did NOT have enabled score 0 — they only exist in false
+// flows (or false units), whose reports the truth filter drops, so the value
+// is observably irrelevant; 0 keeps the vector deterministic. Both slices
+// are sorted, so this is one merge walk.
+func entryScores(b engine.Boundary, seed []nfa.StateID) []int64 {
+	scores := make([]int64, len(seed))
+	j := 0
+	for i, q := range seed {
+		for j < len(b.Enabled) && b.Enabled[j] < q {
+			j++
+		}
+		if j < len(b.Enabled) && b.Enabled[j] == q && b.Scores != nil {
+			scores[i] = b.Scores[j]
+		}
+	}
+	return scores
 }
 
 // chainSegment performs the host-side truth-propagation step for one
@@ -422,28 +446,26 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 	hostSamples := 0
 	for _, seg := range segs {
 		res.Segments = append(res.Segments, SegmentStats{
-			Index:          seg.Index,
-			Start:          seg.Start,
-			End:            seg.End,
-			BoundarySym:    seg.Sym,
-			InitFlows:      seg.InitFlows,
-			Rounds:         seg.Rounds,
-			AvgFlows:       safeDiv(float64(seg.FlowRounds), float64(seg.Rounds)),
-			Deactivations:  seg.Deactivations,
-			Convergences:   seg.Convergences,
-			FIVKills:       seg.FIVKills,
-			FIVApplied:     seg.FIVApplied,
-			Cycles:         seg.Cycles,
-			SwitchCycles:   seg.SwitchCycles,
-			HostCycles:     seg.HostCycles,
-			KnownAt:        seg.KnownAt,
-			Events:         seg.EventsEmitted,
+			Index:            seg.Index,
+			Start:            seg.Start,
+			End:              seg.End,
+			BoundarySym:      seg.Sym,
+			InitFlows:        seg.InitFlows,
+			Rounds:           seg.Rounds,
+			AvgFlows:         safeDiv(float64(seg.FlowRounds), float64(seg.Rounds)),
+			Deactivations:    seg.Deactivations,
+			Convergences:     seg.Convergences,
+			FIVKills:         seg.FIVKills,
+			FIVApplied:       seg.FIVApplied,
+			Cycles:           seg.Cycles,
+			SwitchCycles:     seg.SwitchCycles,
+			HostCycles:       seg.HostCycles,
+			KnownAt:          seg.KnownAt,
+			Events:           seg.EventsEmitted,
 			Transitions:      seg.Transitions,
 			EngineSwitches:   seg.EngSwitches,
 			PrefilterSkipped: seg.PrefilterSkip,
 			BaselineSkipped:  seg.BaselineSkip,
-			SFAMappings:      seg.SFAMappings,
-			ComposeOps:       seg.ComposeOps,
 			FPCollisions:     seg.FPCollisions,
 			Mispredicted:     seg.Mispredicted,
 			RerunCycles:      seg.RerunCycles,
@@ -458,8 +480,6 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 		res.EngineSwitches += seg.EngSwitches
 		res.PrefilterSkipped += seg.PrefilterSkip
 		res.BaselineSkipped += seg.BaselineSkip
-		res.SFAMappings += int64(seg.SFAMappings)
-		res.SFAComposeOps += seg.ComposeOps
 		res.FingerprintCollisions += seg.FPCollisions
 		if seg.Index > 0 {
 			flowRounds += seg.FlowRounds

@@ -165,7 +165,7 @@ func anyAliveEnum(seg *segmentResult) bool {
 // round boundaries, and because seg.Cycles is monotone the final value
 // decides identically.
 func (p *Plan) finishFIV(seg *segmentResult, fivAt ap.Cycles) {
-	if !p.fivEnabled() || seg.FIVApplied {
+	if p.Cfg.DisableFIV || seg.FIVApplied {
 		return
 	}
 	if seg.Cycles >= fivAt {
@@ -202,7 +202,7 @@ func (p *Plan) executeSerial(ctx context.Context, segs []*segmentResult, input [
 	var prevKnown ap.Cycles
 	for j, seg := range segs {
 		fivAt := maxCycles
-		if j > 0 && p.fivEnabled() {
+		if j > 0 && !p.Cfg.DisableFIV {
 			fivAt = prevKnown + ap.FIVTransferCycles
 		}
 		p.guardSegment(seg, func() {

@@ -50,9 +50,6 @@ func diffResults(a, b *Result) string {
 		{"TransitionRatio", a.TransitionRatio, b.TransitionRatio},
 		{"MispredictedSegments", a.MispredictedSegments, b.MispredictedSegments},
 		{"CapacityNote", a.CapacityNote, b.CapacityNote},
-		{"Mode", a.Mode, b.Mode},
-		{"SFAMappings", a.SFAMappings, b.SFAMappings},
-		{"SFAComposeOps", a.SFAComposeOps, b.SFAComposeOps},
 		{"FingerprintCollisions", a.FingerprintCollisions, b.FingerprintCollisions},
 	}
 	for _, s := range scalars {

@@ -11,8 +11,8 @@ package engine_test
 // inputs), extended with seeded mid-run frontiers, and each is checked
 // with the baseline on and off and with the baseline-skip fast path
 // enabled and ablated. A second suite asserts the same invisibility at the
-// core level: both execution modes produce bit-identical modelled metrics
-// with the fast path on and off.
+// core level: flow execution under both schedulers produces bit-identical
+// modelled metrics with the fast path on and off.
 
 import (
 	"fmt"
@@ -200,12 +200,11 @@ func TestStepDiffLockStep(t *testing.T) {
 	}
 }
 
-// TestStepDiffExecModes asserts the baseline-skip fast path is invisible to
-// both execution modes end to end: for flow enumeration and SFA function
-// composition alike, a run with the fast path enabled and one with it
-// ablated produce identical reports and bit-identical modelled metrics
-// (the skip counters themselves excepted), under both schedulers.
-func TestStepDiffExecModes(t *testing.T) {
+// TestStepDiffCoreRuns asserts the baseline-skip fast path is invisible to
+// core's flow execution end to end: a run with the fast path enabled and
+// one with it ablated produce identical reports and bit-identical modelled
+// metrics (the skip counters themselves excepted), under both schedulers.
+func TestStepDiffCoreRuns(t *testing.T) {
 	seeds := 10
 	if testing.Short() {
 		seeds = 3
@@ -218,53 +217,50 @@ func TestStepDiffExecModes(t *testing.T) {
 		if len(c.Input) < 8 {
 			continue
 		}
-		for _, mode := range []core.Mode{core.ModeFlows, core.ModeSFA} {
-			for _, parallel := range []bool{false, true} {
-				cfg := core.DefaultConfig(1)
-				cfg.MaxSegments = 4
-				cfg.TDMQuantum = 8
-				cfg.Mode = mode
-				cfg.SegmentParallel = parallel
-				cfg.Engine = stepDiffKinds[s%len(stepDiffKinds)]
-				abl := cfg
-				abl.DisableBaselineSkip = true
+		for _, parallel := range []bool{false, true} {
+			cfg := core.DefaultConfig(1)
+			cfg.MaxSegments = 4
+			cfg.TDMQuantum = 8
+			cfg.SegmentParallel = parallel
+			cfg.Engine = stepDiffKinds[s%len(stepDiffKinds)]
+			abl := cfg
+			abl.DisableBaselineSkip = true
 
-				on, err := core.Run(c.NFA, c.Input, cfg)
-				if err != nil {
-					t.Fatalf("case %d %v parallel=%v: %v", s, mode, parallel, err)
-				}
-				off, err := core.Run(c.NFA, c.Input, abl)
-				if err != nil {
-					t.Fatalf("case %d %v parallel=%v ablated: %v", s, mode, parallel, err)
-				}
-				if off.BaselineSkipped != 0 {
-					t.Fatalf("case %d %v parallel=%v: ablated run skipped %d bytes",
-						s, mode, parallel, off.BaselineSkipped)
-				}
-				onR := engine.DedupeReports(append([]engine.Report(nil), on.Reports...))
-				offR := engine.DedupeReports(append([]engine.Report(nil), off.Reports...))
-				if !equalReports(onR, offR) {
-					t.Fatalf("case %d %v parallel=%v: reports differ with skip ablated", s, mode, parallel)
-				}
-				if on.TotalCycles != off.TotalCycles || on.BaselineCycles != off.BaselineCycles ||
-					on.RawTotalCycles != off.RawTotalCycles || on.Speedup != off.Speedup ||
-					on.TotalEvents != off.TotalEvents || on.TransitionRatio != off.TransitionRatio ||
-					on.PrefilterSkipped != off.PrefilterSkipped {
-					t.Fatalf("case %d %v parallel=%v: modelled metrics differ with skip ablated:\n on: cyc %d raw %d events %d\noff: cyc %d raw %d events %d",
-						s, mode, parallel, on.TotalCycles, on.RawTotalCycles, on.TotalEvents,
-						off.TotalCycles, off.RawTotalCycles, off.TotalEvents)
-				}
-				if len(on.Segments) != len(off.Segments) {
-					t.Fatalf("case %d %v parallel=%v: segment count differs", s, mode, parallel)
-				}
-				for i := range on.Segments {
-					sa, sb := on.Segments[i], off.Segments[i]
-					sa.BaselineSkipped, sb.BaselineSkipped = 0, 0
-					sa.EngineSwitches, sb.EngineSwitches = 0, 0
-					if sa != sb {
-						t.Fatalf("case %d %v parallel=%v: segment %d metrics differ:\n on: %+v\noff: %+v",
-							s, mode, parallel, i, sa, sb)
-					}
+			on, err := core.Run(c.NFA, c.Input, cfg)
+			if err != nil {
+				t.Fatalf("case %d parallel=%v: %v", s, parallel, err)
+			}
+			off, err := core.Run(c.NFA, c.Input, abl)
+			if err != nil {
+				t.Fatalf("case %d parallel=%v ablated: %v", s, parallel, err)
+			}
+			if off.BaselineSkipped != 0 {
+				t.Fatalf("case %d parallel=%v: ablated run skipped %d bytes",
+					s, parallel, off.BaselineSkipped)
+			}
+			onR := engine.DedupeReports(append([]engine.Report(nil), on.Reports...))
+			offR := engine.DedupeReports(append([]engine.Report(nil), off.Reports...))
+			if !equalReports(onR, offR) {
+				t.Fatalf("case %d parallel=%v: reports differ with skip ablated", s, parallel)
+			}
+			if on.TotalCycles != off.TotalCycles || on.BaselineCycles != off.BaselineCycles ||
+				on.RawTotalCycles != off.RawTotalCycles || on.Speedup != off.Speedup ||
+				on.TotalEvents != off.TotalEvents || on.TransitionRatio != off.TransitionRatio ||
+				on.PrefilterSkipped != off.PrefilterSkipped {
+				t.Fatalf("case %d parallel=%v: modelled metrics differ with skip ablated:\n on: cyc %d raw %d events %d\noff: cyc %d raw %d events %d",
+					s, parallel, on.TotalCycles, on.RawTotalCycles, on.TotalEvents,
+					off.TotalCycles, off.RawTotalCycles, off.TotalEvents)
+			}
+			if len(on.Segments) != len(off.Segments) {
+				t.Fatalf("case %d parallel=%v: segment count differs", s, parallel)
+			}
+			for i := range on.Segments {
+				sa, sb := on.Segments[i], off.Segments[i]
+				sa.BaselineSkipped, sb.BaselineSkipped = 0, 0
+				sa.EngineSwitches, sb.EngineSwitches = 0, 0
+				if sa != sb {
+					t.Fatalf("case %d parallel=%v: segment %d metrics differ:\n on: %+v\noff: %+v",
+						s, parallel, i, sa, sb)
 				}
 			}
 		}

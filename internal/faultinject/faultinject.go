@@ -1,8 +1,7 @@
 // Package faultinject is the deterministic chaos layer of the execution
 // pipeline: a seedable set of faults — delays, failures, panics — armed at
 // specific pipeline points (plan build, round boundaries, FIV transfers,
-// truth publication, SFA boundary composition) and injected into
-// internal/core via Config.Fault.
+// truth publication) and injected into internal/core via Config.Fault.
 //
 // Everything is deterministic in *modelled* execution: a fault fires at a
 // (stage, segment, round) coordinate, never at a wall-clock time, so the
@@ -36,15 +35,11 @@ const (
 	// TruthPublish fires when a finished segment publishes its boundary
 	// truth to its successor (core.chainSegment), with Round -1.
 	TruthPublish
-	// SFACompose fires in SFA mode's boundary-composition pass, once per
-	// composed segment (the segment whose unit truth is being derived),
-	// with Round -1. Flow-mode runs never reach it.
-	SFACompose
 
 	numStages
 )
 
-var stageNames = [...]string{"plan-build", "round-step", "fiv-transfer", "truth-publish", "sfa-compose"}
+var stageNames = [...]string{"plan-build", "round-step", "fiv-transfer", "truth-publish"}
 
 func (s Stage) String() string {
 	if int(s) < len(stageNames) {
@@ -167,7 +162,7 @@ func NewSeeded(seed int64, n int) *Set {
 		} else {
 			f.Stage = Stage(rng.Intn(int(numStages)))
 		}
-		if f.Stage == PlanBuild || f.Stage == TruthPublish || f.Stage == SFACompose {
+		if f.Stage == PlanBuild || f.Stage == TruthPublish {
 			f.Round = -1
 		}
 		if f.Stage == PlanBuild {

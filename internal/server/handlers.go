@@ -88,9 +88,6 @@ type apStatsJSON struct {
 	EngineSwitches    int64   `json:"engine_switches"`
 	PrefilterSkipped  int64   `json:"prefilter_skipped"`
 	BaselineSkipped   int64   `json:"baseline_skipped"`
-	ExecMode          string  `json:"exec_mode"`
-	SFAMappings       int64   `json:"sfa_mappings,omitempty"`
-	SFAComposeOps     int64   `json:"sfa_compose_ops,omitempty"`
 	FPCollisions      int64   `json:"fingerprint_collisions,omitempty"`
 	Scored            bool    `json:"scored,omitempty"`
 	ScoredReports     int     `json:"scored_reports,omitempty"`
@@ -491,8 +488,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Shard routing: a ruleset owned by a healthy peer is matched there
-	// (concentrating its caches and batches on one replica); if the
-	// forward fails in transport we fall back to serving locally.
+	// (concentrating its caches on one replica); if the forward fails in
+	// transport we fall back to serving locally.
 	if addr, route := s.router.routeTo(r, name); route {
 		if s.router.Forward(w, r, addr, payload) {
 			return
@@ -503,20 +500,23 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	if !s.checkQuota(w, r) {
-		return
-	}
+	// Every query parameter is validated before the tenant quota is
+	// charged, so a request answered 400 never spends a token.
 	q := r.URL.Query()
 	mode := q.Get("mode")
-	if mode == "" || mode == "seq" {
+	var cfg pap.Config
+	switch mode {
+	case "", "seq", "sequential":
 		mode = "sequential"
-	}
-	// mode=sfa is parallel matching under the SFA function-composition
-	// strategy; mode=parallel serves the operator's configured default.
-	execMode := s.cfg.DefaultExecMode
-	if mode == "sfa" {
-		mode = "parallel"
-		execMode = pap.ExecSFA
+	case "parallel":
+		if cfg, err = parseParallelConfig(q, s.cfg.SerialSegments); err != nil {
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+	default:
+		writeErr(w, http.StatusBadRequest,
+			`mode must be "sequential" (default) or "parallel", got %q`, mode)
+		return
 	}
 	eng, err := resolveEngine(q, e)
 	if err != nil {
@@ -539,39 +539,21 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancelExec()
+	if !s.checkQuota(w, r) {
+		return
+	}
 
 	var (
 		resp     matchResponse
 		matchErr error
 	)
 	start := time.Now()
-	switch mode {
-	case "sequential":
+	if mode == "sequential" {
 		var (
 			ms   []pap.Match
 			info pap.EngineInfo
 		)
-		if s.coalescer.Enabled() && len(payload) <= s.cfg.BatchMaxBytes {
-			// Small payload: join the batch for this ruleset version and
-			// engine. Pool-level errors surface exactly as they would on
-			// the solo dispatch path.
-			ms, info, matchErr = s.coalescer.Match(execCtx, e, eng, payload)
-			switch {
-			case matchErr == nil || isAbort(matchErr):
-			case errors.Is(matchErr, ErrQueueFull):
-				s.poolRejected.Inc()
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, http.StatusTooManyRequests, "matching queue full, retry later")
-				return
-			case errors.Is(matchErr, ErrPoolClosed):
-				writeErr(w, http.StatusServiceUnavailable, "server draining")
-				return
-			default:
-				s.countCancellation("client_gone")
-				writeErr(w, http.StatusServiceUnavailable, "request aborted: %v", matchErr)
-				return
-			}
-		} else if !s.dispatch(w, r, func() {
+		if !s.dispatch(w, r, func() {
 			ms, info, matchErr = e.Automaton.MatchWithInfoContext(execCtx, payload, eng)
 		}) {
 			return
@@ -583,14 +565,8 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Matches = toMatchJSON(ms, scored)
 		s.countEngineSteps(eng, len(payload))
-	case "parallel":
-		cfg, err := parseParallelConfig(q, s.cfg.SerialSegments)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+	} else {
 		cfg.Engine = eng
-		cfg.Mode = execMode
 		cfg.Scoring = scored
 		var rep *pap.Report
 		if !s.dispatch(w, r, func() {
@@ -622,9 +598,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 			EngineSwitches:    st.EngineSwitches,
 			PrefilterSkipped:  st.PrefilterSkippedBytes,
 			BaselineSkipped:   st.BaselineSkippedBytes,
-			ExecMode:          st.Mode,
-			SFAMappings:       st.SFAMappings,
-			SFAComposeOps:     st.SFAComposeOps,
 			FPCollisions:      st.FingerprintCollisions,
 			Scored:            st.Scored,
 			ScoredReports:     st.ScoredReports,
@@ -635,12 +608,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		s.engineSwitches.Add(st.EngineSwitches)
 		s.prefilterSkipped.Add(st.PrefilterSkippedBytes)
 		s.baselineSkipped.Add(st.BaselineSkippedBytes)
-		s.sfaMappings.Add(st.SFAMappings)
-		s.sfaCompositions.Add(st.SFAComposeOps)
-	default:
-		writeErr(w, http.StatusBadRequest,
-			`mode must be "sequential" (default), "parallel" or "sfa", got %q`, mode)
-		return
 	}
 
 	resp.Automaton = e.Name

@@ -59,11 +59,6 @@ type Config struct {
 	// serial_segments=). Results and modelled stats are identical either
 	// way; serial mode only changes simulator wall-clock behaviour.
 	SerialSegments bool
-	// DefaultExecMode is the parallel execution strategy served when a
-	// request does not pick one (mode=parallel uses it; mode=sfa forces
-	// pap.ExecSFA per call). Matches are identical across strategies;
-	// modelled stats differ.
-	DefaultExecMode pap.ExecMode
 
 	// Peers lists the advertised addresses of the other replicas in a
 	// sharded deployment; empty disables the shard router. Each ruleset
@@ -81,18 +76,6 @@ type Config struct {
 	// PeerCooldown is how long an ejected peer stays out of routing
 	// before being retried (default 10s).
 	PeerCooldown time.Duration
-
-	// BatchWindow coalesces small sequential match requests sharing a
-	// ruleset version and engine into single worker-pool tasks: requests
-	// arriving within the window are served by one task and demuxed.
-	// 0 disables coalescing.
-	BatchWindow time.Duration
-	// BatchMaxSize flushes a batch early when it reaches this many
-	// requests (default 64).
-	BatchMaxSize int
-	// BatchMaxBytes is the largest payload eligible for coalescing
-	// (default 4096); larger payloads always dispatch alone.
-	BatchMaxBytes int
 
 	// TenantRPS grants each tenant (X-API-Key header, or "anonymous")
 	// this many match/stream-write requests per second on the worker
@@ -127,30 +110,23 @@ func (c Config) withDefaults() Config {
 	if c.AdvertiseAddr == "" {
 		c.AdvertiseAddr = c.Addr
 	}
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = 64
-	}
-	if c.BatchMaxBytes <= 0 {
-		c.BatchMaxBytes = 4096
-	}
 	return c
 }
 
 // Server is one papd instance. Create with New, serve with ListenAndServe
 // (or mount Handler on your own listener), stop with Shutdown.
 type Server struct {
-	cfg       Config
-	reg       *Registry
-	pool      *Pool
-	sessions  *SessionManager
-	metrics   *Metrics
-	router    *Router    // nil unless Peers configured
-	coalescer *Coalescer // nil unless BatchWindow > 0
-	quotas    *Quotas    // nil unless TenantRPS > 0
-	mux       *http.ServeMux
-	httpSrv   *http.Server
-	ready     atomic.Bool
-	started   time.Time
+	cfg      Config
+	reg      *Registry
+	pool     *Pool
+	sessions *SessionManager
+	metrics  *Metrics
+	router   *Router // nil unless Peers configured
+	quotas   *Quotas // nil unless TenantRPS > 0
+	mux      *http.ServeMux
+	httpSrv  *http.Server
+	ready    atomic.Bool
+	started  time.Time
 
 	// Pre-created instruments on hot paths.
 	latency          map[string]*Histogram
@@ -165,8 +141,6 @@ type Server struct {
 	lazyCacheHits    *Counter
 	lazyCacheMisses  *Counter
 	lazyCacheEvicts  *Counter
-	sfaMappings      *Counter
-	sfaCompositions  *Counter
 	scoredMatches    *Counter
 }
 
@@ -185,7 +159,6 @@ func New(cfg Config) *Server {
 		latency:  make(map[string]*Histogram),
 		started:  time.Now(),
 	}
-	s.coalescer = NewCoalescer(s.pool, cfg.BatchWindow, cfg.BatchMaxSize, cfg.MatchTimeout)
 
 	m := s.metrics
 	s.poolRejected = m.Counter("papd_worker_pool_rejected_total",
@@ -214,10 +187,6 @@ func New(cfg Config) *Server {
 		"Lazy-DFA state-cache edge misses (determinizations).", "")
 	s.lazyCacheEvicts = m.Counter("papd_lazydfa_cache_evictions_total",
 		"Lazy-DFA cached states discarded by cache flushes.", "")
-	s.sfaMappings = m.Counter("papd_sfa_mappings_total",
-		"Entry-to-exit mapping flows run by SFA-mode parallel matches.", "")
-	s.sfaCompositions = m.Counter("papd_sfa_compositions_total",
-		"Boundary composition operations performed by SFA-mode parallel matches.", "")
 	s.scoredMatches = m.Counter("papd_scored_matches_total",
 		"Matches returned with per-transition scores attached (scored matches and stream writes).", "")
 	s.cancellations = make(map[string]*Counter)
@@ -264,16 +233,6 @@ func New(cfg Config) *Server {
 			fmt.Sprintf("automaton=%q", EscapeLabelValue(name)),
 			func() float64 { return float64(s.reg.Version(name)) })
 	})
-
-	if s.coalescer != nil {
-		s.coalescer.batchesTotal = m.Counter("papd_batches_total",
-			"Coalesced match batches flushed to the worker pool.", "")
-		s.coalescer.requestsTotal = m.Counter("papd_batched_requests_total",
-			"Match requests served through coalesced batches.", "")
-		s.coalescer.sizeHist = m.Histogram("papd_batch_size",
-			"Requests per coalesced batch.", "",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128})
-	}
 
 	if s.router != nil {
 		fallback := m.Counter("papd_router_local_fallback_total",

@@ -7,10 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // doJSONKey is doJSON with an X-API-Key header, for tenant-quota tests.
@@ -157,81 +154,30 @@ func TestServerTenantQuota(t *testing.T) {
 	}
 }
 
-// TestServerCoalescingHTTP proves a burst of small concurrent matches is
-// served in shared batches: every request answers correctly and the
-// batch counters show fewer batches than requests.
-func TestServerCoalescingHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, BatchWindow: 15 * time.Millisecond})
-
+// TestServerQuotaChargedAfterValidation proves a request refused with 400
+// never spends a tenant token: with a burst of one, a bad-mode request
+// followed by a valid match must see the valid one served, not throttled.
+func TestServerQuotaChargedAfterValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, TenantRPS: 0.001, TenantBurst: 1})
 	reg := []byte(`{"name": "rs", "patterns": ["needle"]}`)
 	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
 		t.Fatalf("register = %d: %s", code, body)
 	}
-
-	const n = 24
-	var wg sync.WaitGroup
-	var ok atomic.Int64
 	url := ts.URL + "/v1/automata/rs/match"
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var mr matchResponse
-			code, body := doJSON(t, "POST", url, []byte(fmt.Sprintf("payload %d needle", i)), &mr)
-			if code != 200 {
-				t.Errorf("request %d = %d: %s", i, code, body)
-				return
-			}
-			if len(mr.Matches) != 1 {
-				t.Errorf("request %d: %d matches, want 1", i, len(mr.Matches))
-				return
-			}
-			ok.Add(1)
-		}(i)
-	}
-	wg.Wait()
-	if got := ok.Load(); got != n {
-		t.Fatalf("%d of %d coalesced requests succeeded", got, n)
-	}
-
-	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
-	var batches, reqs int64
-	for _, line := range strings.Split(string(metrics), "\n") {
-		if strings.HasPrefix(line, "papd_batches_total ") {
-			fmt.Sscanf(line, "papd_batches_total %d", &batches)
-		}
-		if strings.HasPrefix(line, "papd_batched_requests_total ") {
-			fmt.Sscanf(line, "papd_batched_requests_total %d", &reqs)
+	for _, bad := range []string{"?mode=bogus", "?engine=bogus", "?scored=maybe", "?timeout_ms=-1", "?mode=parallel&ranks=9"} {
+		if code, _, body := doJSONKey(t, "POST", url+bad, "alice", []byte("xx needle"), nil); code != 400 {
+			t.Fatalf("%s = %d: %s, want 400", bad, code, body)
 		}
 	}
-	if reqs != n {
-		t.Errorf("papd_batched_requests_total = %d, want %d", reqs, n)
-	}
-	if batches < 1 || batches >= n {
-		t.Errorf("papd_batches_total = %d for %d requests, want coalescing", batches, n)
-	}
-}
-
-// TestServerLargePayloadSkipsCoalescing proves payloads over
-// BatchMaxBytes dispatch alone even with coalescing on.
-func TestServerLargePayloadSkipsCoalescing(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Workers: 2, BatchWindow: 10 * time.Millisecond, BatchMaxBytes: 64,
-	})
-	reg := []byte(`{"name": "rs", "patterns": ["needle"]}`)
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata", reg, nil); code != 201 {
-		t.Fatalf("register = %d: %s", code, body)
-	}
-	payload := append(bytes.Repeat([]byte("x"), 200), []byte("needle")...)
 	var mr matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/rs/match", payload, &mr); code != 200 {
-		t.Fatalf("large match = %d: %s", code, body)
+	if code, _, body := doJSONKey(t, "POST", url, "alice", []byte("xx needle"), &mr); code != 200 {
+		t.Fatalf("valid match after refused requests = %d: %s, want 200", code, body)
 	}
 	if len(mr.Matches) != 1 {
-		t.Fatalf("large match found %d matches, want 1", len(mr.Matches))
+		t.Fatalf("valid match found %d matches, want 1", len(mr.Matches))
 	}
-	_, metrics := doJSON(t, "GET", ts.URL+"/metrics", nil, nil)
-	if strings.Contains(string(metrics), "papd_batched_requests_total 1") {
-		t.Error("payload over BatchMaxBytes went through the coalescer")
+	// The one token is now spent.
+	if code, _, body := doJSONKey(t, "POST", url, "alice", []byte("xx needle"), nil); code != 429 {
+		t.Fatalf("second valid match = %d: %s, want 429", code, body)
 	}
 }

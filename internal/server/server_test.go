@@ -141,19 +141,15 @@ func TestServerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// SFA-mode match: same matches again, SFA stats in the AP block.
-	var sfa matchResponse
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/automata/ids/match?mode=sfa&ranks=2&segments=8", payload, &sfa); code != 200 {
-		t.Fatalf("sfa match = %d %q", code, body)
+	// An unknown mode is refused with an error naming only the two modes
+	// that exist.
+	code, body := doJSON(t, "POST", ts.URL+"/v1/automata/ids/match?mode=sfa&ranks=2&segments=8", payload, nil)
+	var bad errorResponse
+	if err := json.Unmarshal(body, &bad); code != 400 || err != nil {
+		t.Fatalf("mode=sfa = %d %q, want 400 with a JSON error", code, body)
 	}
-	if sfa.AP == nil || !sfa.AP.Verified || sfa.AP.ExecMode != "sfa" {
-		t.Fatalf("sfa AP stats = %+v", sfa.AP)
-	}
-	if len(sfa.Matches) != len(seq.Matches) {
-		t.Fatalf("sfa found %d matches, sequential %d", len(sfa.Matches), len(seq.Matches))
-	}
-	if par.AP.ExecMode != "flows" {
-		t.Fatalf("parallel default exec mode = %q, want flows", par.AP.ExecMode)
+	if want := `mode must be "sequential" (default) or "parallel", got "sfa"`; bad.Error != want {
+		t.Fatalf("mode=sfa error = %q, want %q", bad.Error, want)
 	}
 
 	// Bad parallel params.
@@ -224,11 +220,9 @@ func TestServerEndToEnd(t *testing.T) {
 		"papd_streams_active 0",
 		"papd_automata_registered 1",
 		`papd_automaton_matches_total{automaton="ids"}`,
-		"papd_parallel_speedup_count 2",
+		"papd_parallel_speedup_count 1",
 		"papd_stream_bytes_total 32768",
 		"papd_segment_parallelism 1",
-		"papd_sfa_mappings_total",
-		"papd_sfa_compositions_total",
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)
