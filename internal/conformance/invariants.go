@@ -55,7 +55,7 @@ func CheckCase(c *Case) (invariant, detail string) {
 	if inv, d := checkEngineRuns(c, oracle); inv != "" {
 		return inv, d
 	}
-	if inv, d := checkPrefilteredMeta(c, oracle, sub); inv != "" {
+	if inv, d := checkMetaPrefilter(c, oracle, sub); inv != "" {
 		return inv, d
 	}
 	if inv, d := checkBaselineSkip(c, oracle, sub); inv != "" {
@@ -126,7 +126,7 @@ func checkEngineRuns(c *Case, oracle []engine.Report) (string, string) {
 	return "", ""
 }
 
-// checkPrefilteredMeta asserts the meta stack's prefilter never changes
+// checkMetaPrefilter asserts the meta stack's prefilter never changes
 // observable behaviour. Three sub-checks:
 //
 //  1. Class-skip path (match-any run loop, no literal scanning): every
@@ -137,11 +137,11 @@ func checkEngineRuns(c *Case, oracle []engine.Report) (string, string) {
 //     the report set equals the oracle's. Only report-exactness is
 //     claimed here — literal skipping may jump bytes that would have
 //     fired non-reporting baseline work.
-//  3. Chunked-stream skip, exactly as Stream.Write performs it: a Meta
+//  3. Chunked-stream skip, exactly as Stream.Write performs it: a MetaKind
 //     engine fed in random chunks with dead-frontier class skips must
 //     reproduce the oracle's reports, including literals that straddle
 //     chunk boundaries.
-func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
+func checkMetaPrefilter(c *Case, oracle []engine.Report, rng *rand.Rand) (string, string) {
 	tab := engine.NewTables(c.NFA)
 	sp := engine.RunEngine(c.NFA, c.Input, engine.SparseKind, tab)
 
@@ -166,7 +166,7 @@ func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (stri
 	}
 
 	e := engine.New(engine.MetaKind, c.NFA, tab)
-	pf := engine.PrefilterOf(e)
+	pf := engine.PrefilterFor(engine.MetaKind, tab)
 	var all, chunk []engine.Report
 	emit := func(r engine.Report) { chunk = append(chunk, r) }
 	pos := 0
@@ -177,16 +177,15 @@ func checkPrefilteredMeta(c *Case, oracle []engine.Report, rng *rand.Rand) (stri
 		}
 		chunk = chunk[:0]
 		piece := c.Input[pos : pos+n]
-		for i := 0; i < len(piece); i++ {
+		for i := 0; i < len(piece); {
 			if pf != nil && e.Dead() {
 				if j := pf.Next(piece, i); j > i {
 					i = j
-					if i >= len(piece) {
-						break
-					}
+					continue
 				}
 			}
-			e.Step(piece[i], int64(pos+i), emit)
+			c, _, _ := e.StepBatch(piece[i:], int64(pos+i), emit)
+			i += c
 		}
 		pos += n
 		all = append(all, engine.DedupeReports(chunk)...)
@@ -224,8 +223,8 @@ func checkBaselineSkip(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 			return name, fmt.Sprintf("frontier stats: enabled max %d sum %d, disabled max %d sum %d",
 				on.MaxFrontier, on.SumFrontier, off.MaxFrontier, off.SumFrontier)
 		}
-		if off.BaselineSkippedBytes != 0 {
-			return name, fmt.Sprintf("disabled run still skipped %d bytes", off.BaselineSkippedBytes)
+		if off.BaselineSkipped != 0 {
+			return name, fmt.Sprintf("disabled run still skipped %d bytes", off.BaselineSkipped)
 		}
 	}
 
@@ -263,7 +262,7 @@ func checkBaselineSkip(c *Case, oracle []engine.Report, rng *rand.Rand) (string,
 func zeroBaselineSkip(res *core.Result) *core.Result {
 	out := *res
 	out.BaselineSkipped = 0
-	out.Golden.BaselineSkippedBytes = 0
+	out.Golden.BaselineSkipped = 0
 	out.Segments = append([]core.SegmentStats(nil), res.Segments...)
 	for i := range out.Segments {
 		out.Segments[i].BaselineSkipped = 0

@@ -24,11 +24,6 @@ import (
 
 	"pap/internal/ap"
 	"pap/internal/engine"
-
-	// Link the lazy-DFA backend so engine.LazyDFAKind and engine.MetaKind
-	// are constructible on every core execution path (the backend
-	// registers itself via engine.RegisterLazyDFA in its init).
-	_ "pap/internal/engine/lazydfa"
 	"pap/internal/faultinject"
 )
 

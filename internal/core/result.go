@@ -491,7 +491,7 @@ func (p *Plan) aggregate(res *Result, segs []*segmentResult) {
 		}
 	}
 	res.PrefilterSkipped += res.Golden.PrefilterSkipped
-	res.BaselineSkipped += res.Golden.BaselineSkippedBytes
+	res.BaselineSkipped += res.Golden.BaselineSkipped
 	res.AvgActiveFlows = safeDiv(float64(flowRounds), float64(rounds))
 	res.SwitchOverheadPct = 100 * safeDiv(float64(switchCyc), float64(cyc))
 	if hostSamples > 0 {

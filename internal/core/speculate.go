@@ -51,10 +51,10 @@ func (p *Plan) runSpeculative(seg *segmentResult, input []byte,
 	wg.Add(1)
 	pool.work <- func(e engine.Engine) {
 		defer wg.Done()
-		sw := adaptiveSwitches(e)
+		sw := e.Stats().Switches
 		t0 := e.Transitions()
 		e.SetBaseline(false)
-		engine.SetBaselineSkip(e, false) // skipping is core's job (see runFlowRound)
+		e.SetBaselineSkip(false) // skipping is core's job (see runFlowRound)
 		if p.Cfg.Scored {
 			// The golden boundary carries exact best-path scores for every
 			// enabled state; seeding with them makes the re-run's reports
@@ -64,7 +64,6 @@ func (p *Plan) runSpeculative(seg *segmentResult, input []byte,
 			e.Reset(boundary.Enabled)
 		}
 		emit := func(r engine.Report) { rerun.reports = append(rerun.reports, r) }
-		bs, _ := e.(engine.BatchStepper)
 		for i := seg.Start; i < seg.End; {
 			if !p.Cfg.DisablePrefilter && e.Dead() {
 				// Baseline is off: a dead enumeration frontier can never
@@ -73,18 +72,12 @@ func (p *Plan) runSpeculative(seg *segmentResult, input []byte,
 				rerun.skipped += int64(seg.End - i)
 				break
 			}
-			if bs != nil {
-				c, _, _ := bs.StepBatch(input[i:seg.End], int64(i), emit)
-				rerun.symbols += int64(c)
-				i += c
-				continue
-			}
-			e.Step(input[i], int64(i), emit)
-			rerun.symbols++
-			i++
+			c, _, _ := e.StepBatch(input[i:seg.End], int64(i), emit)
+			rerun.symbols += int64(c)
+			i += c
 		}
 		rerun.trans = e.Transitions() - t0
-		seg.EngSwitches += adaptiveSwitches(e) - sw
+		seg.EngSwitches += e.Stats().Switches - sw
 	}
 	wg.Wait()
 	seg.flows = append(seg.flows, rerun)

@@ -135,7 +135,7 @@ func (a *Adaptive) Step(sym byte, off int64, emit EmitFunc) {
 	}
 }
 
-// StepBatch consumes between 1 and len(input) symbols (see BatchStepper).
+// StepBatch consumes between 1 and len(input) symbols (see Engine).
 // A dead frontier takes the baseline-skip fast path regardless of the
 // current representation; a dense frontier delegates the whole batch to
 // the bit engine's vectorized kernel; a sparse frontier steps one symbol
@@ -208,15 +208,15 @@ func (a *Adaptive) SetBaselineSkip(on bool) {
 	}
 }
 
-// BaselineSkipped returns the cumulative symbols consumed by the
-// baseline-skip fast path (including any the bit engine skipped while it
-// held the frontier).
-func (a *Adaptive) BaselineSkipped() int64 {
-	s := a.skipped
+// Stats reports the representation switches and the symbols consumed by
+// the baseline-skip fast path (including any the bit engine skipped while
+// it held the frontier).
+func (a *Adaptive) Stats() Stats {
+	st := Stats{BaselineSkipped: a.skipped, Switches: a.switches}
 	if a.bit != nil {
-		s += a.bit.BaselineSkipped()
+		st.BaselineSkipped += a.bit.skipped
 	}
-	return s
+	return st
 }
 
 // switchTo migrates the frontier into the other representation — the
@@ -252,9 +252,6 @@ func (a *Adaptive) switchTo(dense bool) {
 
 // Dense reports whether the engine is currently in the bit representation.
 func (a *Adaptive) Dense() bool { return a.dense }
-
-// Switches returns the number of representation switches performed.
-func (a *Adaptive) Switches() int64 { return a.switches }
 
 // FrontierLen returns the number of enabled states (excluding all-input).
 func (a *Adaptive) FrontierLen() int { return a.cur.FrontierLen() }

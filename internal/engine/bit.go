@@ -22,7 +22,7 @@ type Tables struct {
 	match [256]atomic.Pointer[bitset.Set]
 
 	// pfOnce/pf lazily build the automaton's prefilter, shared by every
-	// meta engine and run loop over this automaton (see Prefilter).
+	// MetaKind run loop and stream over this automaton (see PrefilterFor).
 	pfOnce sync.Once
 	pf     *prefilter.Prefilter
 
@@ -30,10 +30,10 @@ type Tables struct {
 	// reporting-state mask, so the bit engine's batched kernel walks plain
 	// arrays instead of calling back into the NFA per fired state.
 	edgeOnce sync.Once
-	succOff  []int32        // CSR offsets, len n.Len()+1
-	succ     []nfa.StateID  // flattened successor lists
-	repWord  []uint64       // reporting-state mask, bit-vector word layout
-	repCode  []int32        // per-state report code
+	succOff  []int32       // CSR offsets, len n.Len()+1
+	succ     []nfa.StateID // flattened successor lists
+	repWord  []uint64      // reporting-state mask, bit-vector word layout
+	repCode  []int32       // per-state report code
 
 	// skipOnce compiles the baseline-skip scanner: the byte class that can
 	// move a frontier off the ASG-only baseline (exactly the prefilter
@@ -297,12 +297,6 @@ func (e *Bit) stepScored(sym byte, off int64, emit EmitFunc) {
 	e.scoreCur, e.scoreNxt = nxt, cur
 }
 
-// batchSymbols is the maximum number of symbols one StepBatch kernel
-// invocation consumes: enough to amortise the per-call setup (match-vector
-// resolution, word-slice hoisting) without starving callers that interleave
-// per-batch bookkeeping (context polls, round bounds).
-const batchSymbols = 64
-
 // skipAhead returns the number of leading input symbols a dead frontier
 // provably cannot react to, consuming them. Without baseline injection a
 // dead frontier is dead forever; with it, only a start-class byte can fire
@@ -351,28 +345,9 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 		// kernel below stays score-free so the unscored hot path is untouched.
 		// The dead-frontier skip above remains exact: skipped symbols fire
 		// nothing, so no score can change.
-		k := len(input)
-		if k > batchSymbols {
-			k = batchSymbols
-		}
-		for j := 0; j < k; j++ {
-			e.stepScored(input[j], off+int64(j), emit)
-			l := e.enabled.Count()
-			sumFrontier += int64(l)
-			if l > maxFrontier {
-				maxFrontier = l
-			}
-			consumed++
-			if l == 0 {
-				break
-			}
-		}
-		return consumed, sumFrontier, maxFrontier
+		return stepEach(e, input, off, emit)
 	}
-	k := len(input)
-	if k > batchSymbols {
-		k = batchSymbols
-	}
+	k := min(len(input), batchSymbols)
 	var mats [batchSymbols]*bitset.Set
 	for j := 0; j < k; j++ {
 		mats[j] = e.tab.Match(input[j])
@@ -432,9 +407,8 @@ func (e *Bit) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, s
 // stepping loop, the ablation the conformance harness exercises.
 func (e *Bit) SetBaselineSkip(on bool) { e.skipOn = on }
 
-// BaselineSkipped returns the cumulative number of symbols consumed by
-// the baseline-skip fast path.
-func (e *Bit) BaselineSkipped() int64 { return e.skipped }
+// Stats reports the baseline-skip count.
+func (e *Bit) Stats() Stats { return Stats{BaselineSkipped: e.skipped} }
 
 // clearFired empties the fired set (used by wrappers that skip input on
 // this engine's behalf: nothing fired on a skipped symbol).

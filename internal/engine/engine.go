@@ -4,7 +4,7 @@
 // enabling its children for the next step — and all-input start states are
 // re-enabled every step.
 //
-// Three implementations are provided with identical observable behaviour:
+// Four implementations are provided with identical observable behaviour:
 //
 //   - Sparse tracks the enabled frontier as a deduplicated slice, the way
 //     VASim does; cost is proportional to the number of active states.
@@ -13,8 +13,10 @@
 //   - Adaptive starts sparse and switches representation when the frontier
 //     density crosses a threshold (with hysteresis both ways), so dense
 //     enumeration phases run on the bit engine and quiet phases stay sparse.
+//   - LazyDFA caches determinized frontiers and their transitions, falling
+//     back to another engine when the cache blows up.
 //
-// All three satisfy the Engine interface; execution layers select a backend
+// All four satisfy the Engine interface; execution layers select a backend
 // through Kind and New. Tests assert their equivalence on random automata
 // and inputs.
 package engine
@@ -62,6 +64,27 @@ type Engine interface {
 	// FrontierSet materialises the frontier as a freshly allocated bit
 	// vector (the AP state vector, minus the always-set all-input bits).
 	FrontierSet() *bitset.Set
+	// StepBatch consumes between 1 and len(input) symbols starting at
+	// absolute input offset off, observably identical to calling Step once
+	// per consumed symbol. It returns the consumed count together with the
+	// sum and maximum of the frontier length over the consumed symbols, so
+	// callers keep per-symbol frontier statistics exact. len(input) must
+	// be > 0. Starting on a live frontier it steps at most batchSymbols
+	// symbols and returns no later than the symbol the frontier dies on;
+	// starting on a dead one it may first cross symbols that fire nothing
+	// (the baseline-skip fast path, or plain steps), then returns no later
+	// than the first symbol that fires without reviving the frontier, so
+	// a run loop's prefilter regains control after every such candidate.
+	StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int)
+	// SetBaselineSkip switches the baseline-skip fast path (on by default,
+	// a no-op for backends without one): when the frontier has collapsed
+	// to the always-active baseline, StepBatch consumes symbols outside the
+	// start class with a memchr-style class scan instead of stepping them —
+	// exactly, since such a symbol provably fires nothing on an empty
+	// frontier.
+	SetBaselineSkip(on bool)
+	// Stats returns the engine's cumulative decision counters.
+	Stats() Stats
 }
 
 // Kind names an execution backend for layers that thread engine selection
@@ -78,12 +101,12 @@ const (
 	BitKind
 	// LazyDFAKind forces the lazy-DFA engine: frontiers are determinized
 	// on the fly into a bounded fingerprint-keyed state cache, falling
-	// back to sparse on cache blowup. Requires the backend to be linked:
-	// import pap/internal/engine/lazydfa (blank import suffices).
+	// back to sparse on cache blowup.
 	LazyDFAKind
-	// MetaKind selects the meta engine: literal/class prefiltering on a
-	// dead frontier, the lazy DFA while its cache holds, and the adaptive
-	// sparse/bit selector beyond — the full regime-matched stack.
+	// MetaKind selects the regime-matched stack: the lazy DFA while its
+	// cache holds, the adaptive sparse/bit selector beyond, and — in the
+	// run loops, which own the input — literal/class prefilter skips over
+	// dead-frontier regions (see PrefilterFor).
 	MetaKind
 )
 
@@ -126,32 +149,12 @@ func ParseKind(s string) (Kind, error) {
 		s, strings.Join(KindNames(), ", "))
 }
 
-// LazyFactory builds a lazy-DFA engine over n, with newFB constructing
-// the permanent fallback engine on cache blowup (nil selects sparse).
-// tab is forwarded for fallbacks that use shared match tables.
-type LazyFactory func(n *nfa.NFA, tab *Tables, newFB func() Engine) Engine
-
-// lazyFactory is installed by pap/internal/engine/lazydfa's init. The
-// indirection breaks the import cycle (lazydfa imports this package for
-// the Engine contract), exactly like database/sql driver registration.
-var lazyFactory LazyFactory
-
-// RegisterLazyDFA installs the lazy-DFA constructor; called from the
-// lazydfa package's init.
-func RegisterLazyDFA(f LazyFactory) { lazyFactory = f }
-
-func newLazyDFA(n *nfa.NFA, tab *Tables, newFB func() Engine) Engine {
-	if lazyFactory == nil {
-		panic(`engine: lazy-DFA backend not linked; import _ "pap/internal/engine/lazydfa"`)
-	}
-	return lazyFactory(n, tab, newFB)
-}
-
 // New returns an engine of the given kind at the automaton's start
 // configuration. tab may be nil (private tables are built on demand); pass
 // a shared *Tables to amortise match-vector construction across engines of
 // the same automaton — Tables fills are atomic, so sharing is race-safe.
-// Sparse engines ignore tab.
+// Sparse and lazy-DFA engines ignore tab; MetaKind hands it to the
+// adaptive fallback.
 func New(kind Kind, n *nfa.NFA, tab *Tables) Engine {
 	switch kind {
 	case SparseKind:
@@ -159,12 +162,25 @@ func New(kind Kind, n *nfa.NFA, tab *Tables) Engine {
 	case BitKind:
 		return NewBit(n, tab)
 	case LazyDFAKind:
-		return newLazyDFA(n, tab, nil)
+		return newLazyDFA(n, lazyMaxStates, lazyMaxFlushes, func() Engine { return NewSparse(n) })
 	case MetaKind:
-		return NewMeta(n, tab)
+		return newLazyDFA(n, lazyMaxStates, lazyMaxFlushes, func() Engine { return NewAdaptive(n, tab) })
 	default:
 		return NewAdaptive(n, tab)
 	}
+}
+
+// Stats are an engine's cumulative decision counters, for observability.
+// Fields a backend has no machinery for stay zero.
+type Stats struct {
+	// BaselineSkipped counts symbols consumed by the baseline-skip fast
+	// path (see Engine.SetBaselineSkip).
+	BaselineSkipped int64
+	// Switches counts sparse⇄dense representation switches (Adaptive, and
+	// a lazy DFA that fell back to one).
+	Switches int64
+	// Cache holds the lazy-DFA state cache counters.
+	Cache CacheStats
 }
 
 // CacheStats reports the lazy-DFA state cache counters of an engine run.
@@ -175,93 +191,31 @@ type CacheStats struct {
 	FellBack                bool
 }
 
-// CacheStatser is implemented by backends carrying a lazy-DFA cache.
-type CacheStatser interface {
-	CacheStats() CacheStats
-}
+// batchSymbols is the maximum number of symbols one StepBatch call steps:
+// enough to amortise the per-call setup (match-vector resolution,
+// word-slice hoisting) without starving callers that interleave per-batch
+// bookkeeping (context polls, round bounds). Baseline skips are not steps
+// and may consume more.
+const batchSymbols = 64
 
-// Switcher is implemented by backends that count sparse⇄dense
-// representation switches (Adaptive, and backends wrapping it).
-type Switcher interface {
-	Switches() int64
-}
-
-// SwitchesOf returns the representation-switch count of e, 0 for fixed
-// backends.
-func SwitchesOf(e Engine) int64 {
-	if s, ok := e.(Switcher); ok {
-		return s.Switches()
+// stepEach is the scalar StepBatch over any engine (Bit's scored path):
+// one Step per symbol, up to batchSymbols, returning right after every
+// step that leaves the frontier dead so callers' dead-frontier skips see
+// every death.
+func stepEach(e Engine, input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
+	k := min(len(input), batchSymbols)
+	for consumed < k {
+		e.Step(input[consumed], off+int64(consumed), emit)
+		consumed++
+		l := e.FrontierLen()
+		sumFrontier += int64(l)
+		maxFrontier = max(maxFrontier, l)
+		if l == 0 {
+			break
+		}
 	}
-	return 0
+	return consumed, sumFrontier, maxFrontier
 }
-
-// BatchStepper is implemented by engines with a vectorized multi-symbol
-// hot loop (the bit engine, and the adaptive engine while dense).
-type BatchStepper interface {
-	// StepBatch consumes between 1 and len(input) symbols starting at
-	// absolute input offset off, observably identical to calling Step once
-	// per consumed symbol. It returns the consumed count together with the
-	// sum and maximum of the frontier length over the consumed symbols, so
-	// callers maintain per-symbol frontier statistics exactly. len(input)
-	// must be > 0. Implementations are free to consume fewer symbols than
-	// offered (batch bounds, a frontier death, a representation switch).
-	StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int)
-}
-
-// BaselineSkipper is implemented by engines with the baseline-skip fast
-// path: when the frontier has collapsed to the always-active baseline,
-// StepBatch consumes symbols outside the start class with a memchr-style
-// class scan instead of stepping them — exactly, since such a symbol
-// provably fires nothing on an empty frontier.
-type BaselineSkipper interface {
-	// SetBaselineSkip enables or disables the fast path (on by default).
-	SetBaselineSkip(on bool)
-	// BaselineSkipped returns the cumulative number of symbols the fast
-	// path consumed.
-	BaselineSkipped() int64
-}
-
-// StepBatchOf advances e by up to len(input) symbols through its batched
-// fast path when it has one, or by exactly one scalar Step otherwise.
-// len(input) must be > 0.
-func StepBatchOf(e Engine, input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
-	if b, ok := e.(BatchStepper); ok {
-		return b.StepBatch(input, off, emit)
-	}
-	e.Step(input[0], off, emit)
-	l := e.FrontierLen()
-	return 1, int64(l), l
-}
-
-// SetBaselineSkip switches e's baseline-skip fast path, a no-op for
-// backends without one.
-func SetBaselineSkip(e Engine, on bool) {
-	if s, ok := e.(BaselineSkipper); ok {
-		s.SetBaselineSkip(on)
-	}
-}
-
-// BaselineSkippedOf returns e's cumulative baseline-skip count, 0 for
-// backends without the fast path.
-func BaselineSkippedOf(e Engine) int64 {
-	if s, ok := e.(BaselineSkipper); ok {
-		return s.BaselineSkipped()
-	}
-	return 0
-}
-
-var (
-	_ Engine          = (*Sparse)(nil)
-	_ Engine          = (*Bit)(nil)
-	_ Engine          = (*Adaptive)(nil)
-	_ Engine          = (*Meta)(nil)
-	_ Switcher        = (*Adaptive)(nil)
-	_ Switcher        = (*Meta)(nil)
-	_ BatchStepper    = (*Bit)(nil)
-	_ BatchStepper    = (*Adaptive)(nil)
-	_ BaselineSkipper = (*Bit)(nil)
-	_ BaselineSkipper = (*Adaptive)(nil)
-)
 
 // Report is one output event: reporting state State (carrying rule
 // identifier Code) fired on the symbol at Offset. Score is the firing
@@ -496,6 +450,35 @@ func (e *Sparse) stepScored(sym byte, off int64, emit EmitFunc) {
 // clearFired empties the fired set (used by wrappers that skip input on
 // this engine's behalf: nothing fired on a skipped symbol).
 func (e *Sparse) clearFired() { e.fired = e.fired[:0] }
+
+// StepBatch steps symbol by symbol (see stepEach, whose loop this
+// mirrors with direct calls and one addition): on a dead frontier, a
+// symbol that fires nothing does not end the batch, so a quiet stretch
+// costs one call per batch rather than one per symbol. The sparse
+// engine's work is per active state already, so batching buys nothing
+// else.
+func (e *Sparse) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
+	k := min(len(input), batchSymbols)
+	dead := len(e.frontier) == 0
+	for consumed < k {
+		e.Step(input[consumed], off+int64(consumed), emit)
+		consumed++
+		l := len(e.frontier)
+		sumFrontier += int64(l)
+		maxFrontier = max(maxFrontier, l)
+		if l == 0 && (!dead || len(e.fired) > 0) {
+			break
+		}
+		dead = l == 0
+	}
+	return consumed, sumFrontier, maxFrontier
+}
+
+// SetBaselineSkip is a no-op: the sparse engine has no skip fast path.
+func (e *Sparse) SetBaselineSkip(bool) {}
+
+// Stats returns zero counters: the sparse engine makes no decisions.
+func (e *Sparse) Stats() Stats { return Stats{} }
 
 // Frontier returns the currently enabled states excluding all-input states.
 // The slice is owned by the engine and is invalidated by the next Step.

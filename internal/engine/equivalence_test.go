@@ -159,8 +159,8 @@ func TestAdaptiveSwitchesRepresentations(t *testing.T) {
 	if ad.Dense() {
 		t.Fatal("adaptive stayed dense on an empty frontier")
 	}
-	if ad.Switches() < 2 {
-		t.Fatalf("switches = %d, want >= 2", ad.Switches())
+	if ad.Stats().Switches < 2 {
+		t.Fatalf("switches = %d, want >= 2", ad.Stats().Switches)
 	}
 	if sp.Transitions() != ad.Transitions() {
 		t.Fatalf("transitions = %d, want %d", ad.Transitions(), sp.Transitions())

@@ -80,7 +80,7 @@ func TestBaselineSkipScanAllocs(t *testing.T) {
 		}
 	}
 	run()
-	if skipped := e.BaselineSkipped(); skipped == 0 {
+	if skipped := e.Stats().BaselineSkipped; skipped == 0 {
 		t.Fatal("skip fast path never engaged on an all-miss input")
 	}
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {

@@ -1,60 +1,33 @@
-// Package lazydfa provides a fourth engine.Engine backend that
-// determinizes the NFA frontier on the fly, the way lazy-DFA regex
-// engines (and the Rabin-fingerprint SDFA line of work) avoid re-deriving
-// the same successor set over and over: each distinct frontier becomes one
-// cached DFA state, keyed by its Zobrist fingerprint with full-member
-// collision verification, and each (state, symbol, baseline-mode) step is
-// resolved once into a cached edge carrying everything the step
-// observably does — the successor state, the transition-count delta, the
-// fired-state list, and the report templates. Replaying a cached edge is
-// therefore bit-identical to stepping the sparse engine, including the
-// Transitions energy proxy, so the conformance harness holds lazydfa to
-// the same exact-equality bar as the other backends.
-//
-// The cache is bounded: when it reaches its state cap it is flushed (an
-// LRU-of-generations policy — the live working set re-interns itself on
-// demand), and after too many flushes the engine concludes the workload
-// is cache-hostile (dense, ever-changing frontiers) and falls back
-// permanently to an inner engine — sparse by default, or whatever the
-// caller supplies (the meta selector supplies the adaptive engine).
-// Cumulative counters carry across the fallback, so observables stay
-// exact through the switch.
-package lazydfa
+package engine
 
 import (
+	"slices"
 	"sort"
 
 	"pap/internal/bitset"
-	"pap/internal/engine"
 	"pap/internal/nfa"
 )
 
-// Default cache bounds: MaxStates caps distinct cached frontiers per
-// engine (each costs ~2 KiB per touched baseline mode for its edge
-// table); MaxFlushes is how many whole-cache flushes are tolerated before
-// the engine falls back permanently.
+// Lazy-DFA cache bounds: lazyMaxStates caps distinct cached frontiers per
+// engine (each costs ~2 KiB per touched baseline mode for its edge table);
+// lazyMaxFlushes is how many whole-cache flushes are tolerated before the
+// engine falls back permanently.
 const (
-	DefaultMaxStates  = 2048
-	DefaultMaxFlushes = 2
+	lazyMaxStates  = 2048
+	lazyMaxFlushes = 2
 )
 
-// Config bounds the state cache. Zero fields select the defaults.
-type Config struct {
-	MaxStates  int
-	MaxFlushes int
-}
-
-type report struct {
+type lazyReport struct {
 	state nfa.StateID
 	code  int32
 }
 
-// edge is one fully-resolved (state, symbol, baseline-mode) step.
-type edge struct {
+// lazyEdge is one fully-resolved (state, symbol, baseline-mode) step.
+type lazyEdge struct {
 	next    *dstate
 	trans   int64 // Σ |succ(q)| over fired q — the sparse engine's delta
 	fired   []nfa.StateID
-	reports []report
+	reports []lazyReport
 }
 
 // dstate is one determinized frontier: a sorted member set (all-input
@@ -63,78 +36,81 @@ type edge struct {
 type dstate struct {
 	members []nfa.StateID
 	fp      uint64
-	edges   [2]*[256]*edge
+	edges   [2]*[256]*lazyEdge
 }
 
-// Engine is the lazy-DFA backend. Not safe for concurrent use.
-type Engine struct {
+// LazyDFA determinizes the NFA frontier on the fly, the way lazy-DFA regex
+// engines (and the Rabin-fingerprint SDFA line of work) avoid re-deriving
+// the same successor set over and over: each distinct frontier becomes one
+// cached DFA state, keyed by its Zobrist fingerprint with full-member
+// collision verification, and each (state, symbol, baseline-mode) step is
+// resolved once into a cached edge carrying everything the step
+// observably does — the successor state, the transition-count delta, the
+// fired-state list, and the report templates. Replaying a cached edge is
+// therefore bit-identical to stepping the sparse engine, including the
+// Transitions energy proxy, so the conformance harness holds it to the
+// same exact-equality bar as the other backends.
+//
+// The cache is bounded: when it reaches its state cap it is flushed (an
+// LRU-of-generations policy — the live working set re-interns itself on
+// demand), and after too many flushes the engine concludes the workload
+// is cache-hostile (dense, ever-changing frontiers) and falls back
+// permanently to an inner engine: sparse under LazyDFAKind, adaptive
+// under MetaKind. Cumulative counters carry across the fallback, so
+// observables stay exact through the switch, and from then on StepBatch,
+// SetBaselineSkip and Stats reach the fallback's own fast paths. Not safe
+// for concurrent use.
+type LazyDFA struct {
 	n          *nfa.NFA
 	isAllInput []bool
 	baseline   bool
-	cfg        Config
+	maxStates  int
+	maxFlushes int
 
 	cur   *dstate
 	cache map[uint64][]*dstate
 	nst   int
-	empty *dstate // interned once; survives flushes (it is the hot state)
 
 	flushes                 int
 	hits, misses, evictions int64
 	trans                   int64
 	lastFired               []nfa.StateID
 
-	fb    engine.Engine // non-nil after permanent fallback
-	newFB func() engine.Engine
+	fb     Engine // non-nil after permanent fallback
+	newFB  func() Engine
+	skipOn bool // baseline-skip setting, handed to the fallback when it is built
 
 	mark    []int32
 	epoch   int32
 	scratch []nfa.StateID
 }
 
-// New returns a lazy-DFA engine with default bounds and a sparse
-// fallback, positioned at the automaton's start configuration with
-// baseline injection on. tab is accepted for signature symmetry with the
-// other backends; the lazy DFA tests labels directly and only passes tab
-// through to a table-using fallback.
-func New(n *nfa.NFA, tab *engine.Tables) *Engine {
-	return NewWithFallback(n, Config{}, func() engine.Engine { return engine.NewSparse(n) })
-}
-
-// NewWithFallback is New with explicit cache bounds and fallback factory
-// (nil selects sparse). The factory runs at most once, at permanent
-// fallback time.
-func NewWithFallback(n *nfa.NFA, cfg Config, newFB func() engine.Engine) *Engine {
-	if cfg.MaxStates <= 0 {
-		cfg.MaxStates = DefaultMaxStates
-	}
-	if cfg.MaxFlushes < 0 {
-		cfg.MaxFlushes = 0
-	} else if cfg.MaxFlushes == 0 {
-		cfg.MaxFlushes = DefaultMaxFlushes
-	}
-	if newFB == nil {
-		newFB = func() engine.Engine { return engine.NewSparse(n) }
-	}
-	e := &Engine{
+// newLazyDFA returns a lazy DFA with the given cache bounds, positioned at
+// the automaton's start configuration with baseline injection on. newFB
+// builds the permanent fallback engine; it runs at most once.
+func newLazyDFA(n *nfa.NFA, maxStates, maxFlushes int, newFB func() Engine) *LazyDFA {
+	e := &LazyDFA{
 		n:          n,
 		isAllInput: make([]bool, n.Len()),
 		baseline:   true,
-		cfg:        cfg,
+		maxStates:  maxStates,
+		maxFlushes: maxFlushes,
 		newFB:      newFB,
+		skipOn:     true,
 		mark:       make([]int32, n.Len()),
 	}
 	for _, q := range n.AllInputStates() {
 		e.isAllInput[q] = true
 	}
 	e.cache = make(map[uint64][]*dstate)
-	e.empty = e.intern(nil)
+	e.intern(nil) // the empty state is the hot one: every quiet run returns to it
 	e.Reset(n.StartStates())
 	return e
 }
 
 // Reset replaces the frontier with the given seed states (all-input
 // dropped, duplicates removed); cumulative counters are preserved.
-func (e *Engine) Reset(seed []nfa.StateID) {
+func (e *LazyDFA) Reset(seed []nfa.StateID) {
 	if e.fb != nil {
 		e.fb.Reset(seed)
 		return
@@ -153,15 +129,14 @@ func (e *Engine) Reset(seed []nfa.StateID) {
 	sortIDs(ids)
 	e.cur = e.intern(ids)
 	if e.fb != nil { // intern may have exhausted the flush budget
-		e.fb.SetBaseline(e.baseline)
 		e.fb.Reset(seed)
 	}
 }
 
-// SetBaseline switches all-input injection (see engine.Sparse.SetBaseline
-// for the decomposition contract). Cached states keep separate edge
-// tables per mode, so toggling never invalidates the cache.
-func (e *Engine) SetBaseline(on bool) {
+// SetBaseline switches all-input injection (see Sparse.SetBaseline for the
+// decomposition contract). Cached states keep separate edge tables per
+// mode, so toggling never invalidates the cache.
+func (e *LazyDFA) SetBaseline(on bool) {
 	e.baseline = on
 	if e.fb != nil {
 		e.fb.SetBaseline(on)
@@ -169,7 +144,7 @@ func (e *Engine) SetBaseline(on bool) {
 }
 
 // Step consumes one symbol at the given input offset. emit may be nil.
-func (e *Engine) Step(sym byte, off int64, emit engine.EmitFunc) {
+func (e *LazyDFA) Step(sym byte, off int64, emit EmitFunc) {
 	if e.fb != nil {
 		e.fb.Step(sym, off, emit)
 		return
@@ -180,7 +155,7 @@ func (e *Engine) Step(sym byte, off int64, emit engine.EmitFunc) {
 	}
 	tab := e.cur.edges[mode]
 	if tab == nil {
-		tab = new([256]*edge)
+		tab = new([256]*lazyEdge)
 		e.cur.edges[mode] = tab
 	}
 	ed := tab[sym]
@@ -201,11 +176,50 @@ func (e *Engine) Step(sym byte, off int64, emit engine.EmitFunc) {
 	e.trans += ed.trans
 	if emit != nil {
 		for _, r := range ed.reports {
-			emit(engine.Report{Offset: off, State: r.state, Code: r.code})
+			emit(Report{Offset: off, State: r.state, Code: r.code})
 		}
 	}
 	e.lastFired = ed.fired
 	e.cur = ed.next
+}
+
+// StepBatch steps symbol by symbol like Sparse.StepBatch (a quiet
+// stretch on a dead frontier does not end the batch) until the engine
+// has fallen back; from then on whole batches go to the fallback's own
+// StepBatch.
+func (e *LazyDFA) StepBatch(input []byte, off int64, emit EmitFunc) (consumed int, sumFrontier int64, maxFrontier int) {
+	if e.fb != nil {
+		return e.fb.StepBatch(input, off, emit)
+	}
+	k := min(len(input), batchSymbols)
+	dead := len(e.cur.members) == 0
+	for consumed < k {
+		e.Step(input[consumed], off+int64(consumed), emit)
+		consumed++
+		if e.fb != nil {
+			// Fell back mid-batch: the fallback took this step.
+			l := e.fb.FrontierLen()
+			return consumed, sumFrontier + int64(l), max(maxFrontier, l)
+		}
+		l := len(e.cur.members)
+		sumFrontier += int64(l)
+		maxFrontier = max(maxFrontier, l)
+		if l == 0 && (!dead || len(e.lastFired) > 0) {
+			break
+		}
+		dead = l == 0
+	}
+	return consumed, sumFrontier, maxFrontier
+}
+
+// SetBaselineSkip switches the fallback engine's baseline-skip fast path,
+// remembering the setting for a fallback built later. The cache itself
+// has no skip path: a dead frontier is one cached-edge lookup per symbol.
+func (e *LazyDFA) SetBaselineSkip(on bool) {
+	e.skipOn = on
+	if e.fb != nil {
+		e.fb.SetBaselineSkip(on)
+	}
 }
 
 // determinize resolves one (state, symbol) edge under the current
@@ -213,11 +227,10 @@ func (e *Engine) Step(sym byte, off int64, emit engine.EmitFunc) {
 // fired = label-matching members (plus all-input states when baseline is
 // on), trans = Σ successor counts over fired, next = the deduplicated
 // non-all-input successor union. On cache exhaustion it may trigger
-// permanent fallback, in which case the returned edge is meaningless and
-// e.fb is set.
-func (e *Engine) determinize(d *dstate, sym byte) *edge {
+// permanent fallback, in which case it returns nil and e.fb is set.
+func (e *LazyDFA) determinize(d *dstate, sym byte) *lazyEdge {
 	n := e.n
-	ed := &edge{}
+	ed := &lazyEdge{}
 	e.epoch++
 	next := e.scratch[:0]
 	fire := func(q nfa.StateID) {
@@ -227,7 +240,7 @@ func (e *Engine) determinize(d *dstate, sym byte) *edge {
 		}
 		ed.fired = append(ed.fired, q)
 		if st.Flags&nfa.Report != 0 {
-			ed.reports = append(ed.reports, report{state: q, code: st.ReportCode})
+			ed.reports = append(ed.reports, lazyReport{state: q, code: st.ReportCode})
 		}
 		succ := n.Succ(q)
 		ed.trans += int64(len(succ))
@@ -253,7 +266,6 @@ func (e *Engine) determinize(d *dstate, sym byte) *edge {
 	if e.fb != nil {
 		// Fallback fired while interning: seed it with the *pre-step*
 		// frontier so the caller can replay this step on it.
-		e.fb.SetBaseline(e.baseline)
 		e.fb.Reset(d.members)
 		return nil
 	}
@@ -262,24 +274,26 @@ func (e *Engine) determinize(d *dstate, sym byte) *edge {
 
 // intern returns the canonical cached state for the sorted member set,
 // copying ids on first sight. Reaching the cap flushes the cache while
-// budget remains, then triggers permanent fallback (e.fb becomes
-// non-nil and the return value must not be used).
-func (e *Engine) intern(ids []nfa.StateID) *dstate {
+// budget remains, then triggers permanent fallback (e.fb becomes non-nil,
+// configured like this engine, and the return value must not be used).
+func (e *LazyDFA) intern(ids []nfa.StateID) *dstate {
 	fp := uint64(0)
 	for _, q := range ids {
-		fp ^= engine.Key(q)
+		fp ^= Key(q)
 	}
 	for _, d := range e.cache[fp] {
-		if equalIDs(d.members, ids) {
+		if slices.Equal(d.members, ids) {
 			return d
 		}
 	}
-	if e.nst >= e.cfg.MaxStates {
-		if e.flushes >= e.cfg.MaxFlushes {
+	if e.nst >= e.maxStates {
+		if e.flushes >= e.maxFlushes {
 			e.evictions += int64(e.nst)
 			e.cache = nil
 			e.nst = 0
 			e.fb = e.newFB()
+			e.fb.SetBaseline(e.baseline)
+			e.fb.SetBaselineSkip(e.skipOn)
 			return nil
 		}
 		e.flush()
@@ -292,18 +306,17 @@ func (e *Engine) intern(ids []nfa.StateID) *dstate {
 
 // flush empties the cache (counting every dropped state as an eviction)
 // and re-interns the empty state, which every quiet run returns to.
-func (e *Engine) flush() {
+func (e *LazyDFA) flush() {
 	e.flushes++
 	e.evictions += int64(e.nst)
 	e.cache = make(map[uint64][]*dstate)
 	e.nst = 0
-	e.empty = &dstate{}
-	e.cache[0] = append(e.cache[0], e.empty)
+	e.cache[0] = append(e.cache[0], &dstate{})
 	e.nst++
 }
 
 // FrontierLen returns the number of enabled states (excluding all-input).
-func (e *Engine) FrontierLen() int {
+func (e *LazyDFA) FrontierLen() int {
 	if e.fb != nil {
 		return e.fb.FrontierLen()
 	}
@@ -311,7 +324,7 @@ func (e *Engine) FrontierLen() int {
 }
 
 // Dead reports whether the frontier is empty.
-func (e *Engine) Dead() bool {
+func (e *LazyDFA) Dead() bool {
 	if e.fb != nil {
 		return e.fb.Dead()
 	}
@@ -319,7 +332,7 @@ func (e *Engine) Dead() bool {
 }
 
 // Fingerprint returns the Zobrist fingerprint of the frontier.
-func (e *Engine) Fingerprint() uint64 {
+func (e *LazyDFA) Fingerprint() uint64 {
 	if e.fb != nil {
 		return e.fb.Fingerprint()
 	}
@@ -328,7 +341,7 @@ func (e *Engine) Fingerprint() uint64 {
 
 // Transitions returns cumulative transition-edge traversals, carried
 // across cache flushes and fallback.
-func (e *Engine) Transitions() int64 {
+func (e *LazyDFA) Transitions() int64 {
 	if e.fb != nil {
 		return e.trans + e.fb.Transitions()
 	}
@@ -336,7 +349,7 @@ func (e *Engine) Transitions() int64 {
 }
 
 // AppendFrontier appends the enabled states (ascending) to dst.
-func (e *Engine) AppendFrontier(dst []nfa.StateID) []nfa.StateID {
+func (e *LazyDFA) AppendFrontier(dst []nfa.StateID) []nfa.StateID {
 	if e.fb != nil {
 		return e.fb.AppendFrontier(dst)
 	}
@@ -344,7 +357,7 @@ func (e *Engine) AppendFrontier(dst []nfa.StateID) []nfa.StateID {
 }
 
 // AppendFired appends the states that fired on the most recent Step.
-func (e *Engine) AppendFired(dst []nfa.StateID) []nfa.StateID {
+func (e *LazyDFA) AppendFired(dst []nfa.StateID) []nfa.StateID {
 	if e.fb != nil {
 		return e.fb.AppendFired(dst)
 	}
@@ -352,7 +365,7 @@ func (e *Engine) AppendFired(dst []nfa.StateID) []nfa.StateID {
 }
 
 // FrontierSet materialises the frontier as a fresh bit vector.
-func (e *Engine) FrontierSet() *bitset.Set {
+func (e *LazyDFA) FrontierSet() *bitset.Set {
 	if e.fb != nil {
 		return e.fb.FrontierSet()
 	}
@@ -363,9 +376,14 @@ func (e *Engine) FrontierSet() *bitset.Set {
 	return s
 }
 
-// CacheStats reports the cache counters (see engine.CacheStats).
-func (e *Engine) CacheStats() engine.CacheStats {
-	return engine.CacheStats{
+// Stats reports the cache counters, plus the fallback engine's
+// baseline-skip and switch counters once it exists.
+func (e *LazyDFA) Stats() Stats {
+	var st Stats
+	if e.fb != nil {
+		st = e.fb.Stats()
+	}
+	st.Cache = CacheStats{
 		Hits:      e.hits,
 		Misses:    e.misses,
 		Evictions: e.evictions,
@@ -373,24 +391,8 @@ func (e *Engine) CacheStats() engine.CacheStats {
 		Flushes:   e.flushes,
 		FellBack:  e.fb != nil,
 	}
+	return st
 }
-
-// Switches returns the representation switches of an adaptive fallback
-// engine (0 before fallback or for non-adaptive fallbacks).
-func (e *Engine) Switches() int64 {
-	if a, ok := e.fb.(*engine.Adaptive); ok {
-		return a.Switches()
-	}
-	return 0
-}
-
-func init() {
-	engine.RegisterLazyDFA(func(n *nfa.NFA, tab *engine.Tables, newFB func() engine.Engine) engine.Engine {
-		return NewWithFallback(n, Config{}, newFB)
-	})
-}
-
-var _ engine.Engine = (*Engine)(nil)
 
 func sortIDs(ids []nfa.StateID) {
 	if len(ids) > 32 {
@@ -404,16 +406,4 @@ func sortIDs(ids []nfa.StateID) {
 			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
-}
-
-func equalIDs(a, b []nfa.StateID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,9 +6,6 @@ import (
 
 	"pap/internal/engine"
 	"pap/internal/nfa"
-
-	// Link the lazy-DFA backend so LazyDFAKind/MetaKind are constructible.
-	_ "pap/internal/engine/lazydfa"
 )
 
 // needleNFA recognises the fixed literal "needle": one all-input root on

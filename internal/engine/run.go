@@ -22,23 +22,18 @@ type Result struct {
 	MaxFrontier int
 	SumFrontier int64 // Σ frontier size over all positions (avg = Sum/len)
 	// PrefilterSkipped counts input bytes the run never stepped because a
-	// prefilter proved them inert on a dead frontier (0 for engines
-	// without a prefilter). Skipped symbols contribute nothing to
-	// Transitions or the frontier statistics — for class skips that is
+	// prefilter proved them inert on a dead frontier (0 for kinds without
+	// a prefilter, see PrefilterFor). Skipped symbols contribute nothing
+	// to Transitions or the frontier statistics — for class skips that is
 	// exact (the true contribution is zero); literal skips additionally
 	// drop doomed partial frontiers (see RunOpts.LiteralPrefilter).
 	PrefilterSkipped int64
-	// BaselineSkippedBytes counts input bytes consumed by an engine's own
-	// baseline-skip fast path (BaselineSkipper backends: bit and adaptive):
-	// with the frontier collapsed to the always-active baseline, bytes
-	// outside the start class are consumed by a class scan instead of a
-	// step. Like class prefilter skips this is fully exact — every
-	// observable, including the per-symbol frontier statistics, is
-	// preserved bit-for-bit.
-	BaselineSkippedBytes int64
-	// Cache reports the lazy-DFA state-cache counters, zero for backends
-	// without one.
-	Cache CacheStats
+	// Stats are the engine's decision counters at the end of the run.
+	// Stats.BaselineSkipped bytes were consumed by the engine's own
+	// baseline-skip fast path: like class prefilter skips this is fully
+	// exact — every observable, including the per-symbol frontier
+	// statistics, is preserved bit-for-bit.
+	Stats
 	// BestScore is the maximum report Score of a scored run (see
 	// RunOpts.Scored); meaningful only when Reports is non-empty (scores
 	// may be negative, so 0 is not a sentinel). Always 0 for unscored runs.
@@ -67,20 +62,38 @@ type RunOpts struct {
 	Scored bool
 }
 
-// engineFor builds the run-loop engine honouring opts: kind remapping,
-// score tracking, and the baseline-skip ablation.
-func engineFor(n *nfa.NFA, kind Kind, tab *Tables, opts RunOpts) Engine {
+// PrefilterFor returns the prefilter a loop stepping an engine of the
+// given (already scoring-remapped) kind uses to skip dead-frontier input:
+// the automaton's prefilter for MetaKind when scanning can pay off, nil
+// otherwise. tab must be non-nil for MetaKind.
+func PrefilterFor(kind Kind, tab *Tables) *prefilter.Prefilter {
+	if kind != MetaKind {
+		return nil
+	}
+	if pf := tab.Prefilter(); pf.Useful() {
+		return pf
+	}
+	return nil
+}
+
+// EngineFor builds the engine and prefilter a run loop or stream steps,
+// honouring opts: kind remapping, score tracking, and the baseline-skip
+// ablation. tab may be nil (private tables are built on demand).
+func EngineFor(n *nfa.NFA, kind Kind, tab *Tables, opts RunOpts) (Engine, *prefilter.Prefilter) {
 	if opts.Scored {
 		kind = ScoringKind(kind)
+	}
+	if tab == nil {
+		tab = NewTables(n)
 	}
 	e := New(kind, n, tab)
 	if opts.Scored {
 		SetScoring(e, true)
 	}
 	if opts.DisableBaselineSkip {
-		SetBaselineSkip(e, false)
+		e.SetBaselineSkip(false)
 	}
-	return e
+	return e, PrefilterFor(kind, tab)
 }
 
 // Run executes the automaton over the whole input with the default (Auto)
@@ -95,53 +108,11 @@ func RunEngine(n *nfa.NFA, input []byte, kind Kind, tab *Tables) Result {
 	return RunEngineOpts(n, input, kind, tab, RunOpts{})
 }
 
-// skipFrom returns the next offset the engine must actually step from
-// position i, given a dead frontier, or i when no skip applies.
-func skipFrom(pf *prefilter.Prefilter, input []byte, i int, opts RunOpts) int {
-	if opts.LiteralPrefilter && !opts.Scored {
-		return pf.NextLiteral(input, i)
-	}
-	return pf.Next(input, i)
-}
-
-// RunEngineOpts is RunEngine with run options. Engines advertising a
-// prefilter (the meta backend) skip dead-frontier regions instead of
+// RunEngineOpts is RunEngine with run options. Under MetaKind the run
+// skips dead-frontier regions the prefilter proves inert instead of
 // stepping them; Result.PrefilterSkipped counts the bytes skipped.
 func RunEngineOpts(n *nfa.NFA, input []byte, kind Kind, tab *Tables, opts RunOpts) Result {
-	e := engineFor(n, kind, tab, opts)
-	pf := PrefilterOf(e)
-	bs, _ := e.(BatchStepper)
-	var res Result
-	emit := func(r Report) { res.Reports = append(res.Reports, r) }
-	for i := 0; i < len(input); {
-		if pf != nil && e.Dead() {
-			if j := skipFrom(pf, input, i, opts); j > i {
-				res.PrefilterSkipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		if bs != nil {
-			c, sum, max := bs.StepBatch(input[i:], int64(i), emit)
-			res.SumFrontier += sum
-			if max > res.MaxFrontier {
-				res.MaxFrontier = max
-			}
-			i += c
-			continue
-		}
-		e.Step(input[i], int64(i), emit)
-		l := e.FrontierLen()
-		if l > res.MaxFrontier {
-			res.MaxFrontier = l
-		}
-		res.SumFrontier += int64(l)
-		i++
-	}
-	res.Transitions = e.Transitions()
-	res.Cache = CacheStatsOf(e)
-	res.BaselineSkippedBytes = BaselineSkippedOf(e)
-	res.BestScore, _ = BestReportScore(res.Reports)
+	res, _, _, _ := run(context.Background(), n, input, nil, kind, tab, 0, opts)
 	return res
 }
 
@@ -159,55 +130,8 @@ func RunEngineContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, 
 // checking — a skip consumes input at scan speed, so cancellation latency
 // stays bounded by the stepped stretches between candidates.
 func RunEngineOptsContext(ctx context.Context, n *nfa.NFA, input []byte, kind Kind, tab *Tables, every int, opts RunOpts) (Result, int, error) {
-	if every <= 0 {
-		every = ctxCheckEvery
-	}
-	e := engineFor(n, kind, tab, opts)
-	pf := PrefilterOf(e)
-	bs, _ := e.(BatchStepper)
-	var res Result
-	emit := func(r Report) { res.Reports = append(res.Reports, r) }
-	nextPoll := 0
-	for i := 0; i < len(input); {
-		if pf != nil && e.Dead() {
-			if j := skipFrom(pf, input, i, opts); j > i {
-				res.PrefilterSkipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		if i >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				res.Transitions = e.Transitions()
-				res.Cache = CacheStatsOf(e)
-				res.BaselineSkippedBytes = BaselineSkippedOf(e)
-				res.BestScore, _ = BestReportScore(res.Reports)
-				return res, i, err
-			}
-			nextPoll = i + every
-		}
-		if bs != nil {
-			c, sum, max := bs.StepBatch(input[i:], int64(i), emit)
-			res.SumFrontier += sum
-			if max > res.MaxFrontier {
-				res.MaxFrontier = max
-			}
-			i += c
-			continue
-		}
-		e.Step(input[i], int64(i), emit)
-		l := e.FrontierLen()
-		if l > res.MaxFrontier {
-			res.MaxFrontier = l
-		}
-		res.SumFrontier += int64(l)
-		i++
-	}
-	res.Transitions = e.Transitions()
-	res.Cache = CacheStatsOf(e)
-	res.BaselineSkippedBytes = BaselineSkippedOf(e)
-	res.BestScore, _ = BestReportScore(res.Reports)
-	return res, len(input), nil
+	res, _, pos, err := run(ctx, n, input, nil, kind, tab, every, opts)
+	return res, pos, err
 }
 
 // Boundary captures the golden execution state at one segment cut: the
@@ -241,91 +165,84 @@ func RunWithBoundariesEngine(n *nfa.NFA, input []byte, cuts []int, kind Kind, ta
 // cooperative cancellation contract as RunEngineContext: ctx is polled
 // every `every` symbols (<= 0 selects the default) and the partial result,
 // with the number of symbols processed, is returned alongside ctx's error
-// on cancellation. Of opts only DisableBaselineSkip applies (the literal
-// scanner is never exact enough for a metric-bearing boundary run).
+// on cancellation. opts.LiteralPrefilter is ignored (the literal scanner
+// is never exact enough for a metric-bearing boundary run).
 func RunWithBoundariesEngineContext(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, every int, opts RunOpts) (Result, []Boundary, int, error) {
+	opts.LiteralPrefilter = false
+	return run(ctx, n, input, cuts, kind, tab, every, opts)
+}
+
+// run is the one sequential stepping loop behind every Run* entry point,
+// recording a Boundary at each of the cuts. It returns the result, the
+// boundaries, the number of symbols processed, and ctx's error if a poll
+// (every `every` symbols, <= 0 for the default) observed a cancellation.
+func run(ctx context.Context, n *nfa.NFA, input []byte, cuts []int, kind Kind, tab *Tables, every int, opts RunOpts) (Result, []Boundary, int, error) {
 	if every <= 0 {
 		every = ctxCheckEvery
 	}
-	e := engineFor(n, kind, tab, opts)
-	pf := PrefilterOf(e)
-	bs, _ := e.(BatchStepper)
+	e, pf := EngineFor(n, kind, tab, opts)
+	literal := opts.LiteralPrefilter && !opts.Scored
 	var res Result
-	emit := func(r Report) { res.Reports = append(res.Reports, r) }
+	var err error
 	bounds := make([]Boundary, 0, len(cuts))
-	ci := 0
-	nextPoll := 0
-	for i := 0; i < len(input); {
-		// Boundary runs feed the modelled-cycle metrics, so only the fully
-		// exact class scanner may skip here, and a skip is clamped to land
-		// one symbol before the next cut: stepping that symbol records the
-		// boundary naturally (its Fired/Enabled are provably empty in a
-		// skipped region, but the recording code stays on one path).
+	emit := func(r Report) { res.Reports = append(res.Reports, r) }
+	ci, nextPoll := 0, 0
+	i := 0
+	for i < len(input) {
+		// Skips and batches stop one symbol short of the next cut: the
+		// cut-defining symbol is stepped alone below so its Fired/Enabled
+		// record the boundary. Engine-internal baseline skips stay inside
+		// the window and are exact for every metric.
+		hi := len(input)
+		if ci < len(cuts) {
+			hi = cuts[ci] - 1
+		}
 		if pf != nil && e.Dead() {
-			j := pf.Next(input, i)
-			if ci < len(cuts) && cuts[ci]-1 < j {
-				j = cuts[ci] - 1
+			var j int
+			if literal {
+				j = pf.NextLiteral(input, i)
+			} else {
+				j = pf.Next(input, i)
 			}
-			if j > i {
+			if j = min(j, hi); j > i {
 				res.PrefilterSkipped += int64(j - i)
 				i = j
 				continue
 			}
 		}
 		if i >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				res.Transitions = e.Transitions()
-				res.Cache = CacheStatsOf(e)
-				res.BaselineSkippedBytes = BaselineSkippedOf(e)
-				res.BestScore, _ = BestReportScore(res.Reports)
-				return res, bounds, i, err
+			if err = ctx.Err(); err != nil {
+				break
 			}
 			nextPoll = i + every
 		}
-		// Batch up to one symbol short of the next cut: the cut-defining
-		// symbol is stepped scalar below so its Fired/Enabled record the
-		// boundary. Engine-internal baseline skips stay inside the window
-		// (they are clamped by the slice) and are exact for every metric.
-		if bs != nil {
-			hi := len(input) - 1
-			if ci < len(cuts) && cuts[ci]-1 < hi {
-				hi = cuts[ci] - 1
-			}
-			if i < hi {
-				c, sum, max := bs.StepBatch(input[i:hi], int64(i), emit)
-				res.SumFrontier += sum
-				if max > res.MaxFrontier {
-					res.MaxFrontier = max
-				}
-				i += c
-				continue
-			}
+		if i < hi {
+			c, sum, mx := e.StepBatch(input[i:hi], int64(i), emit)
+			res.SumFrontier += sum
+			res.MaxFrontier = max(res.MaxFrontier, mx)
+			i += c
+			continue
 		}
 		e.Step(input[i], int64(i), emit)
 		l := e.FrontierLen()
-		if l > res.MaxFrontier {
-			res.MaxFrontier = l
-		}
 		res.SumFrontier += int64(l)
-		if ci < len(cuts) && cuts[ci] == i+1 {
-			b := Boundary{
-				Pos:     i + 1,
-				Fired:   sortedIDs(e.AppendFired(nil)),
-				Enabled: sortedIDs(e.AppendFrontier(nil)),
-			}
-			if opts.Scored {
-				b.Scores = AppendScoresOf(e, b.Enabled, nil)
-			}
-			bounds = append(bounds, b)
-			ci++
+		res.MaxFrontier = max(res.MaxFrontier, l)
+		b := Boundary{
+			Pos:     i + 1,
+			Fired:   sortedIDs(e.AppendFired(nil)),
+			Enabled: sortedIDs(e.AppendFrontier(nil)),
 		}
+		if opts.Scored {
+			b.Scores = AppendScoresOf(e, b.Enabled, nil)
+		}
+		bounds = append(bounds, b)
+		ci++
 		i++
 	}
 	res.Transitions = e.Transitions()
-	res.Cache = CacheStatsOf(e)
-	res.BaselineSkippedBytes = BaselineSkippedOf(e)
+	res.Stats = e.Stats()
 	res.BestScore, _ = BestReportScore(res.Reports)
-	return res, bounds, len(input), nil
+	return res, bounds, i, err
 }
 
 // sortedIDs sorts ids in place and returns them.

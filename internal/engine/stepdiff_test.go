@@ -1,16 +1,15 @@
 package engine_test
 
-// Differential step-test harness for the vectorized hot loop: every
-// batch-capable backend is run in lock-step against the scalar sparse
-// reference — the batched engine consumes a window per StepBatch call, the
-// reference replays the same window one Step at a time — and every
-// observable is compared at each window boundary: frontier set,
-// fingerprint, death, reports (with offsets), cumulative transitions, and
-// the per-symbol frontier statistics the run loops aggregate. Cases come
-// from the conformance generators (random homogeneous NFAs, adversarial
-// inputs), extended with seeded mid-run frontiers, and each is checked
-// with the baseline on and off and with the baseline-skip fast path
-// enabled and ablated. A second suite asserts the same invisibility at the
+// Differential step-test harness for the batched hot loops: every backend
+// is run in lock-step against the scalar sparse reference — the batched
+// engine consumes a window per StepBatch call, the reference replays the
+// same window one Step at a time — and every observable is compared at each
+// window boundary: frontier set, fingerprint, death, reports (with
+// offsets), cumulative transitions, and the per-symbol frontier statistics
+// the run loops aggregate. Cases come from the conformance generators
+// (random homogeneous NFAs, adversarial inputs), extended with seeded
+// mid-run frontiers, and each is checked with the baseline on and off and
+// with the baseline-skip fast path enabled and ablated. A second suite asserts the same invisibility at the
 // core level: flow execution under both schedulers produces bit-identical
 // modelled metrics with the fast path on and off.
 
@@ -25,6 +24,10 @@ import (
 	"pap/internal/engine"
 	"pap/internal/nfa"
 )
+
+// stepBatchMax is the most symbols one StepBatch call may step on a live
+// frontier (the engine package's batch size).
+const stepBatchMax = 64
 
 var stepDiffKinds = []engine.Kind{
 	engine.SparseKind, engine.BitKind, engine.Auto,
@@ -80,7 +83,7 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 	ref.SetBaseline(cfg.baseline)
 	sub.SetBaseline(cfg.baseline)
 	if cfg.disableSkip {
-		engine.SetBaselineSkip(sub, false)
+		sub.SetBaselineSkip(false)
 	}
 	if cfg.seed != nil {
 		ref.Reset(cfg.seed)
@@ -93,9 +96,21 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 
 	for i := 0; i < len(input); {
 		refReports, subReports = refReports[:0], subReports[:0]
-		consumed, sum, max := engine.StepBatchOf(sub, input[i:], int64(i), subEmit)
+		live := !sub.Dead()
+		consumed, sum, max := sub.StepBatch(input[i:], int64(i), subEmit)
 		if consumed < 1 || consumed > len(input)-i {
 			t.Fatalf("%s: StepBatch at %d consumed %d of %d", cfg, i, consumed, len(input)-i)
+		}
+		at := fmt.Sprintf("%s: window [%d,%d)", cfg, i, i+consumed)
+		// A window that starts on a live frontier is a batch of steps, not a
+		// skip: it is bounded by the batch size and must end no later than
+		// the symbol the frontier dies on, so run loops see every death. A
+		// window that starts dead may first cross symbols that fire
+		// nothing, but must end no later than the first symbol that fires
+		// without reviving the frontier, so a run loop's prefilter regains
+		// control after every candidate the engine did not revive on.
+		if live && consumed > stepBatchMax {
+			t.Fatalf("%s: live-frontier batch consumed %d symbols, max %d", at, consumed, stepBatchMax)
 		}
 		// Replay the same window on the scalar reference, accumulating the
 		// per-symbol frontier statistics the run loops derive from it.
@@ -108,8 +123,13 @@ func runStepDiff(t *testing.T, n *nfa.NFA, tab *engine.Tables, input []byte, cfg
 			if l > refMax {
 				refMax = l
 			}
+			fired := len(ref.AppendFired(nil)) > 0
+			if l == 0 && (live || fired) && j < consumed-1 {
+				t.Fatalf("%s: frontier dead at %d (live before %v, fired %v) but the batch ran on",
+					at, i+j, live, fired)
+			}
+			live = l > 0
 		}
-		at := fmt.Sprintf("%s: window [%d,%d)", cfg, i, i+consumed)
 		if sum != refSum || max != refMax {
 			t.Fatalf("%s: frontier stats sum %d max %d, reference sum %d max %d",
 				at, sum, max, refSum, refMax)

@@ -8,10 +8,6 @@ import (
 	"pap/internal/engine"
 	"pap/internal/nfa"
 	"pap/internal/prefilter"
-
-	// Link the lazy-DFA backend so engine.MetaKind is constructible in
-	// this test binary.
-	_ "pap/internal/engine/lazydfa"
 )
 
 // FuzzLiteralExtraction is the differential safety net for the whole

@@ -44,7 +44,7 @@ type registerRequest struct {
 	Kind     string   `json:"kind,omitempty"` // "regex" (default), "hamming", "levenshtein"
 	Patterns []string `json:"patterns"`
 	Distance int      `json:"distance,omitempty"`
-	Engine   string   `json:"engine,omitempty"` // "auto" (default), "sparse", "bit"
+	Engine   string   `json:"engine,omitempty"` // "auto" (default), "sparse", "bit", "lazydfa", "meta"
 }
 
 type automatonJSON struct {
@@ -324,8 +324,9 @@ func (s *Server) countEngineSteps(k pap.EngineKind, symbols int) {
 }
 
 // countEngineInfo feeds one match's (or stream write's delta of) backend
-// observability counters into the prefilter and lazy-DFA cache metrics.
+// observability counters into the switch, skip and lazy-DFA cache metrics.
 func (s *Server) countEngineInfo(info pap.EngineInfo) {
+	s.engineSwitches.Add(info.EngineSwitches)
 	s.prefilterSkipped.Add(info.PrefilterSkippedBytes)
 	s.baselineSkipped.Add(info.BaselineSkippedBytes)
 	s.lazyCacheHits.Add(info.CacheHits)
@@ -752,23 +753,13 @@ func (s *Server) handleStreamWrite(w http.ResponseWriter, r *http.Request) {
 	var (
 		ms        []pap.Match
 		offset    int64
-		ws        WriteStats
+		ws        pap.EngineInfo
 		writeErr2 error
 	)
 	if !s.dispatch(w, r, func() {
 		ms, offset, ws, writeErr2 = sess.WriteContext(execCtx, chunk)
 	}) {
 		return
-	}
-	countWrite := func() {
-		s.engineSwitches.Add(ws.Switches)
-		s.countEngineInfo(pap.EngineInfo{
-			PrefilterSkippedBytes: ws.PrefilterSkipped,
-			BaselineSkippedBytes:  ws.BaselineSkipped,
-			CacheHits:             ws.CacheHits,
-			CacheMisses:           ws.CacheMisses,
-			CacheEvictions:        ws.CacheEvictions,
-		})
 	}
 	if writeErr2 != nil {
 		if isAbort(writeErr2) {
@@ -777,7 +768,7 @@ func (s *Server) handleStreamWrite(w http.ResponseWriter, r *http.Request) {
 			if e, err := s.reg.Get(sess.Automaton); err == nil {
 				s.countMatches(e, len(ms))
 			}
-			countWrite()
+			s.countEngineInfo(ws)
 			s.writeAbort(w, writeErr2, func(resp *abortResponse) {
 				resp.Matches = toMatchJSON(ms, sess.Scored)
 				resp.Offset = offset
@@ -792,7 +783,7 @@ func (s *Server) handleStreamWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	s.streamBytes.Add(int64(len(chunk)))
 	s.countEngineSteps(sess.Engine, len(chunk))
-	countWrite()
+	s.countEngineInfo(ws)
 	resp := streamWriteResponse{Matches: toMatchJSON(ms, sess.Scored), Offset: offset}
 	if sess.Scored {
 		if best, ok := sess.BestScore(); ok {

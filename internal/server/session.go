@@ -27,42 +27,30 @@ type Session struct {
 	Scored    bool // the stream tracks per-transition scores
 	Created   time.Time
 
-	mu        sync.Mutex
-	stream    *pap.Stream
-	lastUsed  time.Time
-	matches   int64
-	writes    int64
-	lastSwtch int64          // stream switch count at the previous Write, for deltas
-	lastInfo  pap.EngineInfo // stream engine counters at the previous Write, for deltas
-	closed    bool
+	mu       sync.Mutex
+	stream   *pap.Stream
+	lastUsed time.Time
+	matches  int64
+	writes   int64
+	lastInfo pap.EngineInfo // stream engine counters at the previous Write, for deltas
+	closed   bool
 }
 
-// WriteStats is the per-write delta of backend counters, for metrics:
-// how many adaptive representation switches, prefilter-skipped bytes and
-// lazy-DFA cache events this one write caused.
-type WriteStats struct {
-	Switches         int64
-	PrefilterSkipped int64
-	BaselineSkipped  int64
-	CacheHits        int64
-	CacheMisses      int64
-	CacheEvictions   int64
-}
-
-// delta computes the counter movement since the previous write and
-// advances the high-water marks. Callers hold s.mu.
-func (s *Session) delta() WriteStats {
-	sw := s.stream.EngineSwitches()
+// delta computes the backend counter movement since the previous write —
+// how many representation switches, skipped bytes and lazy-DFA cache
+// events this one write caused, for metrics — and advances the high-water
+// marks. CacheFellBack carries the current state. Callers hold s.mu.
+func (s *Session) delta() pap.EngineInfo {
 	info := s.stream.EngineInfo()
-	d := WriteStats{
-		Switches:         sw - s.lastSwtch,
-		PrefilterSkipped: info.PrefilterSkippedBytes - s.lastInfo.PrefilterSkippedBytes,
-		BaselineSkipped:  info.BaselineSkippedBytes - s.lastInfo.BaselineSkippedBytes,
-		CacheHits:        info.CacheHits - s.lastInfo.CacheHits,
-		CacheMisses:      info.CacheMisses - s.lastInfo.CacheMisses,
-		CacheEvictions:   info.CacheEvictions - s.lastInfo.CacheEvictions,
+	d := pap.EngineInfo{
+		PrefilterSkippedBytes: info.PrefilterSkippedBytes - s.lastInfo.PrefilterSkippedBytes,
+		BaselineSkippedBytes:  info.BaselineSkippedBytes - s.lastInfo.BaselineSkippedBytes,
+		EngineSwitches:        info.EngineSwitches - s.lastInfo.EngineSwitches,
+		CacheHits:             info.CacheHits - s.lastInfo.CacheHits,
+		CacheMisses:           info.CacheMisses - s.lastInfo.CacheMisses,
+		CacheEvictions:        info.CacheEvictions - s.lastInfo.CacheEvictions,
+		CacheFellBack:         info.CacheFellBack,
 	}
-	s.lastSwtch = sw
 	s.lastInfo = info
 	return d
 }
@@ -117,10 +105,10 @@ type SessionInfo struct {
 // prefilter (see docs/ENGINES.md).
 func supportsPrefilter(k pap.EngineKind) bool { return k == pap.EngineMeta }
 
-// supportsBaselineSkip reports whether the engine has the exact
-// baseline-skip fast path: every backend except the pure sparse frontier
-// list (bit natively, adaptive and lazydfa/meta through their inner
-// engines).
+// supportsBaselineSkip reports whether the session reports baseline-skip
+// bytes: every backend except the pure sparse frontier list. Bit and
+// adaptive skip natively and meta through its adaptive fallback; the
+// lazydfa backend's sparse fallback never skips, so its count stays 0.
 func supportsBaselineSkip(k pap.EngineKind) bool { return k != pap.EngineSparse }
 
 // supportsLazyCache reports whether the engine keeps a lazy-DFA state
@@ -132,11 +120,11 @@ func supportsLazyCache(k pap.EngineKind) bool {
 // Write feeds one chunk to the session's stream and returns a copy of the
 // completed matches, the stream offset after the write, and the backend
 // counter deltas this write caused.
-func (s *Session) Write(chunk []byte) ([]pap.Match, int64, WriteStats, error) {
+func (s *Session) Write(chunk []byte) ([]pap.Match, int64, pap.EngineInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, WriteStats{}, ErrSessionNotFound
+		return nil, 0, pap.EngineInfo{}, ErrSessionNotFound
 	}
 	ms := s.stream.Write(chunk)
 	out := make([]pap.Match, len(ms))
@@ -156,11 +144,11 @@ func (s *Session) Write(chunk []byte) ([]pap.Match, int64, WriteStats, error) {
 // mutex is held for the duration, so an expiry racing an in-flight write
 // either waits for it or closes the session before it starts; a write
 // never lands on a closed stream.
-func (s *Session) WriteContext(ctx context.Context, chunk []byte) ([]pap.Match, int64, WriteStats, error) {
+func (s *Session) WriteContext(ctx context.Context, chunk []byte) ([]pap.Match, int64, pap.EngineInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, 0, WriteStats{}, ErrSessionNotFound
+		return nil, 0, pap.EngineInfo{}, ErrSessionNotFound
 	}
 	ms, err := s.stream.WriteContext(ctx, chunk)
 	out := make([]pap.Match, len(ms))
@@ -196,7 +184,7 @@ func (s *Session) Info() SessionInfo {
 		Writes:         s.writes,
 		Matches:        s.matches,
 		ActiveStates:   s.stream.ActiveStates(),
-		EngineSwitches: s.stream.EngineSwitches(),
+		EngineSwitches: info.EngineSwitches,
 		Scored:         s.Scored,
 	}
 	if s.Scored {

@@ -326,8 +326,8 @@ func TestSessionCreateReservesSlot(t *testing.T) {
 // backend counter is present — including legitimate zeros — exactly when
 // the session's engine supports it, and absent otherwise, so a zero is
 // never confused with "engine doesn't track this". It is also the
-// regression for CacheEvictions, which WriteStats and the Prometheus
-// metrics tracked but SessionInfo never exposed.
+// regression for CacheEvictions, which the per-write deltas and the
+// Prometheus metrics tracked but SessionInfo never exposed.
 func TestSessionInfoCounterScoping(t *testing.T) {
 	m := NewSessionManager(0, 0)
 	defer m.Stop()

@@ -337,6 +337,10 @@ type EngineInfo struct {
 	// always-active states were live). Fully exact: reports, frontier
 	// statistics, and modelled cycles are identical to stepping.
 	BaselineSkippedBytes int64
+	// EngineSwitches counts sparse⇄dense representation switches of an
+	// adaptive engine (EngineAuto, and EngineMeta once its lazy DFA fell
+	// back).
+	EngineSwitches int64
 	// CacheHits/CacheMisses/CacheEvictions are lazy-DFA state-cache
 	// counters (EngineLazyDFA and EngineMeta).
 	CacheHits, CacheMisses, CacheEvictions int64
@@ -345,14 +349,15 @@ type EngineInfo struct {
 	CacheFellBack bool
 }
 
-func infoOf(res engine.Result) EngineInfo {
+func infoOf(prefilterSkipped int64, st engine.Stats) EngineInfo {
 	return EngineInfo{
-		PrefilterSkippedBytes: res.PrefilterSkipped,
-		BaselineSkippedBytes:  res.BaselineSkippedBytes,
-		CacheHits:             res.Cache.Hits,
-		CacheMisses:           res.Cache.Misses,
-		CacheEvictions:        res.Cache.Evictions,
-		CacheFellBack:         res.Cache.FellBack,
+		PrefilterSkippedBytes: prefilterSkipped,
+		BaselineSkippedBytes:  st.BaselineSkipped,
+		EngineSwitches:        st.Switches,
+		CacheHits:             st.Cache.Hits,
+		CacheMisses:           st.Cache.Misses,
+		CacheEvictions:        st.Cache.Evictions,
+		CacheFellBack:         st.Cache.FellBack,
 	}
 }
 
@@ -368,7 +373,7 @@ func (a *Automaton) matchInfo(input []byte, k EngineKind) ([]Match, EngineInfo) 
 	// drops the literal prefilter when scoring (see engine.RunOpts.Scored).
 	res := engine.RunEngineOpts(a.n, input, k.toKind(), a.tables(),
 		engine.RunOpts{LiteralPrefilter: true, Scored: a.n.Scored()})
-	return toMatches(engine.DedupeReports(res.Reports)), infoOf(res)
+	return toMatches(engine.DedupeReports(res.Reports)), infoOf(res.PrefilterSkipped, res.Stats)
 }
 
 // MatchContext is Match under a context: a cancelled or expired ctx stops
@@ -393,12 +398,12 @@ func (a *Automaton) MatchWithInfoContext(ctx context.Context, input []byte, k En
 	res, pos, err := engine.RunEngineOptsContext(ctx, a.n, input, k.toKind(), a.tables(), 0,
 		engine.RunOpts{LiteralPrefilter: true, Scored: a.n.Scored()})
 	if err != nil {
-		return nil, infoOf(res), &AbortError{
+		return nil, infoOf(res.PrefilterSkipped, res.Stats), &AbortError{
 			Cause:    err,
 			Progress: []SegmentProgress{{Index: 0, Start: 0, End: len(input), Pos: pos}},
 		}
 	}
-	return toMatches(engine.DedupeReports(res.Reports)), infoOf(res), nil
+	return toMatches(engine.DedupeReports(res.Reports)), infoOf(res.PrefilterSkipped, res.Stats), nil
 }
 
 func toMatches(reports []engine.Report) []Match {

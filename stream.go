@@ -28,8 +28,7 @@ type Stream struct {
 	a      *Automaton
 	kind   EngineKind
 	eng    engine.Engine
-	pf     *prefilter.Prefilter // non-nil only when the backend carries a useful one
-	bs     engine.BatchStepper  // non-nil when the backend steps in batches
+	pf     *prefilter.Prefilter // non-nil only under EngineMeta (see engine.PrefilterFor)
 	offset int64
 	// skipped counts bytes proven inert by the prefilter and never
 	// stepped. Only the class scanner runs here — it is exact per byte,
@@ -85,27 +84,13 @@ func (a *Automaton) NewStream(opts ...StreamOption) *Stream {
 	if a.n.Scored() {
 		s.scored = true
 	}
-	s.eng = s.newEngine()
-	s.pf = engine.PrefilterOf(s.eng)
-	s.bs, _ = s.eng.(engine.BatchStepper)
+	s.eng, s.pf = s.newEngine()
 	s.emit = func(r engine.Report) { s.reports = append(s.reports, r) }
 	return s
 }
 
-func (s *Stream) newEngine() engine.Engine {
-	kind := s.kind.toKind()
-	if s.scored {
-		kind = engine.ScoringKind(kind)
-	}
-	var tab *engine.Tables
-	if kind != engine.SparseKind {
-		tab = s.a.tables()
-	}
-	e := engine.New(kind, s.a.n, tab)
-	if s.scored {
-		engine.SetScoring(e, true)
-	}
-	return e
+func (s *Stream) newEngine() (engine.Engine, *prefilter.Prefilter) {
+	return engine.EngineFor(s.a.n, s.kind.toKind(), s.a.tables(), engine.RunOpts{Scored: s.scored})
 }
 
 // collect dedupes the accumulated raw reports into scratch and folds them
@@ -133,35 +118,8 @@ func (s *Stream) collect() []Match {
 // Writing to a closed Stream is a no-op returning nil (use WriteContext
 // for an explicit ErrStreamClosed).
 func (s *Stream) Write(chunk []byte) []Match {
-	if s.closed {
-		return nil
-	}
-	s.scratch = s.scratch[:0]
-	s.reports = s.reports[:0]
-	for i := 0; i < len(chunk); {
-		if s.pf != nil && s.eng.Dead() {
-			if j := s.pf.Next(chunk, i); j > i {
-				s.offset += int64(j - i)
-				s.skipped += int64(j - i)
-				i = j
-				continue
-			}
-		}
-		// Batch-capable backends consume as much of the chunk as one call
-		// allows — the vectorized kernel on a live frontier, the exact
-		// baseline-skip scan on a dead one. Chunk boundaries need no special
-		// handling: both are exact per byte.
-		if s.bs != nil {
-			c, _, _ := s.bs.StepBatch(chunk[i:], s.offset, s.emit)
-			s.offset += int64(c)
-			i += c
-			continue
-		}
-		s.eng.Step(chunk[i], s.offset, s.emit)
-		s.offset++
-		i++
-	}
-	return s.collect()
+	ms, _ := s.WriteContext(context.Background(), chunk)
+	return ms
 }
 
 // streamCtxEvery is the symbol interval between context polls in
@@ -206,19 +164,13 @@ func (s *Stream) WriteContext(ctx context.Context, chunk []byte) ([]Match, error
 				continue
 			}
 		}
-		if s.bs != nil {
-			end := nextPoll
-			if end > len(chunk) {
-				end = len(chunk)
-			}
-			c, _, _ := s.bs.StepBatch(chunk[i:end], s.offset, s.emit)
-			s.offset += int64(c)
-			i += c
-			continue
-		}
-		s.eng.Step(chunk[i], s.offset, s.emit)
-		s.offset++
-		i++
+		// The engine consumes as much as one StepBatch call allows — the
+		// vectorized kernel on a live frontier, the exact baseline-skip
+		// scan on a dead one. Chunk boundaries need no special handling:
+		// both are exact per byte.
+		c, _, _ := s.eng.StepBatch(chunk[i:min(nextPoll, len(chunk))], s.offset, s.emit)
+		s.offset += int64(c)
+		i += c
 	}
 	s.collect()
 	if ctxErr != nil {
@@ -264,42 +216,14 @@ func (s *Stream) Scored() bool { return s.scored }
 // streams every score is 0, so it degenerates to a has-matched indicator.
 func (s *Stream) BestScore() (int64, bool) { return s.best, s.bestValid }
 
-// EngineSwitches returns the number of sparse⇄dense representation
-// switches the backend has made (always 0 for fixed backends; for
-// EngineMeta this counts the inner adaptive fallback, if engaged).
-func (s *Stream) EngineSwitches() int64 { return engine.SwitchesOf(s.eng) }
-
-// PrefilterSkipped returns the number of input bytes the stream's
-// prefilter proved inert and never stepped (0 unless the backend carries
-// a prefilter, i.e. EngineMeta over a ruleset with a narrow start class).
-func (s *Stream) PrefilterSkipped() int64 { return s.skipped }
-
-// BaselineSkipped returns the number of input bytes the backend's exact
-// baseline-skip fast path scanned past instead of stepping (0 for backends
-// without the fast path, and for rulesets whose start class is too wide to
-// ever skip). Unlike the prefilter this path preserves every observable.
-func (s *Stream) BaselineSkipped() int64 { return engine.BaselineSkippedOf(s.eng) }
-
 // EngineInfo returns the stream's cumulative backend observability
 // counters since creation or the last Reset.
-func (s *Stream) EngineInfo() EngineInfo {
-	cs := engine.CacheStatsOf(s.eng)
-	return EngineInfo{
-		PrefilterSkippedBytes: s.skipped,
-		BaselineSkippedBytes:  engine.BaselineSkippedOf(s.eng),
-		CacheHits:             cs.Hits,
-		CacheMisses:           cs.Misses,
-		CacheEvictions:        cs.Evictions,
-		CacheFellBack:         cs.FellBack,
-	}
-}
+func (s *Stream) EngineInfo() EngineInfo { return infoOf(s.skipped, s.eng.Stats()) }
 
 // Reset rewinds the stream to offset 0 and the start configuration,
 // reopening it if it was closed.
 func (s *Stream) Reset() {
-	s.eng = s.newEngine()
-	s.pf = engine.PrefilterOf(s.eng)
-	s.bs, _ = s.eng.(engine.BatchStepper)
+	s.eng, s.pf = s.newEngine()
 	s.offset = 0
 	s.skipped = 0
 	s.scratch = s.scratch[:0]

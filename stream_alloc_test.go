@@ -24,7 +24,7 @@ func TestStreamWriteAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("%v: Write allocates %.1f objects per call, want 0", k, allocs)
 			}
-			if s.BaselineSkipped() == 0 {
+			if s.EngineInfo().BaselineSkippedBytes == 0 {
 				t.Fatalf("%v: baseline-skip fast path never engaged on a quiet stream", k)
 			}
 		})

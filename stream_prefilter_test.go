@@ -42,7 +42,7 @@ func TestStreamPrefilterChunkStraddle(t *testing.T) {
 				t.Fatalf("cut at %d: match %d = %+v, want %+v", cut, i, got[i], want[i])
 			}
 		}
-		if s.PrefilterSkipped() == 0 {
+		if s.EngineInfo().PrefilterSkippedBytes == 0 {
 			t.Fatalf("cut at %d: prefilter skipped nothing on a quiet payload", cut)
 		}
 		s.Close()
@@ -79,12 +79,12 @@ func TestStreamPrefilterReset(t *testing.T) {
 	if m := s.Write([]byte("xxxxxxxxneedlexxxx")); len(m) != 1 {
 		t.Fatalf("first pass: %d matches, want 1", len(m))
 	}
-	if s.PrefilterSkipped() == 0 {
+	if s.EngineInfo().PrefilterSkippedBytes == 0 {
 		t.Fatal("first pass skipped nothing")
 	}
 	s.Reset()
-	if s.PrefilterSkipped() != 0 {
-		t.Fatalf("PrefilterSkipped = %d after Reset, want 0", s.PrefilterSkipped())
+	if s.EngineInfo().PrefilterSkippedBytes != 0 {
+		t.Fatalf("PrefilterSkipped = %d after Reset, want 0", s.EngineInfo().PrefilterSkippedBytes)
 	}
 	m := s.Write([]byte("xxxxxxxxneedlexxxx"))
 	if len(m) != 1 {
@@ -93,7 +93,7 @@ func TestStreamPrefilterReset(t *testing.T) {
 	if m[0].Offset != 13 {
 		t.Fatalf("post-reset match offset = %d, want 13 (offsets restart)", m[0].Offset)
 	}
-	if s.PrefilterSkipped() == 0 {
+	if s.EngineInfo().PrefilterSkippedBytes == 0 {
 		t.Fatal("post-reset pass skipped nothing")
 	}
 }

@@ -206,8 +206,8 @@ func TestStreamEngineEquivalence(t *testing.T) {
 				t.Fatalf("%v match %d: %+v, want %+v", k, i, got[i], want[i])
 			}
 		}
-		if k != EngineAuto && s.EngineSwitches() != 0 {
-			t.Fatalf("%v: fixed backend reported %d switches", k, s.EngineSwitches())
+		if k != EngineAuto && s.EngineInfo().EngineSwitches != 0 {
+			t.Fatalf("%v: fixed backend reported %d switches", k, s.EngineInfo().EngineSwitches)
 		}
 	}
 }
